@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -58,24 +57,12 @@ struct CheckpointPolicy {
   bool enabled() const { return every_k > 0; }
 };
 
-/// Polling cadence shared by every remote await loop — the engine's
-/// coordinator side and the in-thread worker hosts: poll at
-/// `poll_interval_us` for `idle_spins` empty polls, then back off to
-/// `idle_poll_interval_us` until the next frame resets the spin budget.
-/// Hoisted into one knob set (previously scattered hard-coded constants)
-/// so deadlines and poll rates are tuned — and tested — in one place.
-struct EngineTimingOptions {
-  uint32_t poll_interval_us = 50;
-  uint32_t idle_spins = 40;
-  uint32_t idle_poll_interval_us = 1000;
-};
-
 /// Engine configuration (the demo's "play panel" knobs).
 struct EngineOptions {
   /// Worker threads; 0 means one per fragment.
   uint32_t num_threads = 0;
-  /// Intra-fragment frontier parallelism (opt-in, ROADMAP item 2): when
-  /// > 1, apps implementing the FrontierParallelApp concept run their
+  /// Intra-fragment frontier parallelism (opt-in): when > 1, apps
+  /// implementing the FrontierParallelApp concept run their
   /// ParallelPEval/ParallelIncEval with this many lanes, and WorkerCore
   /// stages its flush in parallel. 0 and 1 keep the historical sequential
   /// path byte-for-byte. Results, message payloads, CommStats, and
@@ -145,8 +132,6 @@ struct EngineOptions {
   /// Superstep checkpointing + automatic recovery (remote compute only;
   /// drivers resolve --ckpt-every / --ckpt-dir here).
   CheckpointPolicy checkpoint;
-  /// Await-loop poll cadence, also handed to in-thread worker hosts.
-  EngineTimingOptions timing;
   /// Observability/test hook: invoked after each remote superstep's round
   /// is recorded (and after its checkpoint, when one was due) with the
   /// completed superstep count. Fault-injection tests use it to kill
@@ -235,16 +220,21 @@ struct EngineMetrics {
 /// the coordinator (which resolves conflicts with the app's aggregate
 /// function), and terminates when no parameter changes anywhere.
 ///
-/// Two execution modes share the superstep loop and the coordinator:
+/// Two execution modes share the coordinator (RouteInbox, RecordRound),
+/// and within each mode every entry point — Run, SessionRun,
+/// RunIncremental — shares one superstep loop; only the seeding of the
+/// first superstep differs:
 ///
 ///  * local compute (default): each worker is a WorkerCore driven inline
-///    by this process's thread pool — the historical single-process mode.
+///    by this process's thread pool — the historical single-process mode
+///    (RunLocalFixpoint: PEval, or a warm-started IncEval).
 ///  * remote compute (EngineOptions::remote_app): each worker is the same
 ///    WorkerCore, but executing inside its rank's worker host — the
 ///    endpoint OS process on socket/tcp, an in-process thread on inproc —
 ///    driven through the control frames of rt/worker_protocol.h. The
 ///    engine keeps only the coordinator role: route, aggregate, decide
-///    termination, assemble.
+///    termination, assemble (RunRemoteFixpoint: a cold load, a warm
+///    query re-seed, an incremental start, or a checkpoint restore).
 template <PIEProgram App>
 class GrapeEngine {
  public:
@@ -347,93 +337,7 @@ class GrapeEngine {
           "a distributed-load engine has no local fragments; local compute "
           "is impossible (set remote_app)");
     }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    const FragmentId n = n_frags_;
-
-    for (FragmentId i = 0; i < n; ++i) {
-      cores_[i].Reset(options_.check_monotonicity);
-    }
-
-    // Superstep 1: partial evaluation on every fragment in parallel.
-    // Messages are staged inside the parallel phase and dispatched after
-    // the barrier, so nothing a worker sends can be consumed in the same
-    // superstep (BSP delivery semantics).
-    {
-      ScopedTimer t(&metrics_.peval_seconds);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        cores_[i].PEval(query);
-        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-      });
-      metrics_.supersteps = 1;
-    }
-    GRAPE_RETURN_NOT_OK(CheckPhase());
-    uint64_t direct = 0;
-    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-    RecordRound(0.0, TotalUpdated());
-    uint64_t dirty = TotalDirty();
-
-    // Supersteps 2..: coordinator routes, workers incrementally evaluate.
-    // Termination per Sec. 2.2(3): every worker inactive and no update
-    // parameter changed anywhere — i.e. neither in-flight messages (routed
-    // through the coordinator or sent directly) nor local parameter changes
-    // (dirty) remain.
-    while (metrics_.supersteps < options_.max_supersteps) {
-      double global = 0;
-      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
-
-      uint64_t routed = 0;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        pool_.ParallelFor(0, n, [&](size_t i) {
-          auto fid = static_cast<FragmentId>(i);
-          Status s = ApplyMessages(fid);
-          if (!s.ok()) {
-            phase_status_[i] = s;
-            return;
-          }
-          cores_[i].IncEval(query, options_.incremental);
-          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-        });
-      }
-      metrics_.supersteps++;
-      GRAPE_RETURN_NOT_OK(CheckPhase());
-      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
-      dirty = TotalDirty();
-      if (options_.verbose) {
-        GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
-                         << metrics_.rounds.back().messages << " msgs";
-      }
-    }
-
-    // Termination: pull partial results and Assemble at the coordinator.
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      std::vector<Partial> partials(n);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        partials[i] = cores_[i].GetPartial(query);
-      });
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
+    return RunLocalFixpoint(query, nullptr, {});
   }
 
   /// Incremental evaluation across *graph updates* (Sec. 2.1: IncEval
@@ -453,7 +357,9 @@ class GrapeEngine {
   /// Placement follows the engine: remote engines run the delta inside
   /// their endpoint processes against the state already resident there
   /// (the live session's last answer takes the role of `previous`, whose
-  /// in-process stores are never read); local engines warm-start from
+  /// in-process stores are never read — so a `query` other than the
+  /// session's last one is answered by SessionRun(query) with
+  /// metrics().incremental_fallback set); local engines warm-start from
   /// `previous`'s stores — the differential oracle the remote path is
   /// tested against.
   Result<Output> RunIncremental(const Query& query,
@@ -462,11 +368,7 @@ class GrapeEngine {
     if (!options_.remote_app.empty()) {
       if constexpr (RemoteCompatibleApp<App>) {
         (void)previous;  // the endpoints hold the warm state, not `previous`
-        Result<Output> out = RunIncrementalRemote(query, touched);
-        // Same invalidation contract as SessionRun: a failed delta leaves
-        // workers mid-phase, so the next call must cold-start.
-        if (!out.ok()) EndSession();
-        return out;
+        return SessionDelta(query, touched, /*monotone_change=*/true);
       } else {
         return Status::InvalidArgument(
             "remote incremental evaluation requires wire-codable "
@@ -488,97 +390,7 @@ class GrapeEngine {
           "engines; distributed-load engines answer incrementally over "
           "their live session (RunIncremental(query, batch))");
     }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    const FragmentId n = n_frags_;
-
-    // Warm start: every local copy adopts the owner's converged value from
-    // the previous run (unseen vertices keep InitValue).
-    for (FragmentId i = 0; i < n; ++i) {
-      const Fragment& frag = fg_->fragments[i];
-      cores_[i].Reset(options_.check_monotonicity);
-      ParamStore<Value>& store = cores_[i].store();
-      for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
-        VertexId gid = frag.Gid(lid);
-        if (gid >= previous.fg_->owner->size()) continue;  // new vertex
-        FragmentId prev_owner = (*previous.fg_->owner)[gid];
-        const Fragment& prev_frag = previous.fg_->fragments[prev_owner];
-        LocalId prev_lid = prev_frag.Lid(gid);
-        if (prev_lid == kInvalidLocal) continue;
-        store.UntrackedRef(lid) =
-            previous.cores_[prev_owner].store().Get(prev_lid);
-      }
-    }
-    // Seed M: the update's touched vertices (all local copies).
-    for (VertexId gid : touched) {
-      for (FragmentId i = 0; i < n; ++i) {
-        LocalId lid = fg_->fragments[i].Lid(gid);
-        if (lid != kInvalidLocal) cores_[i].updated().push_back(lid);
-      }
-    }
-
-    // IncEval-only fixed point (superstep 1 is the first IncEval).
-    {
-      ScopedTimer t(&metrics_.inceval_seconds);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        cores_[i].IncEval(query, true);
-        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-      });
-      metrics_.supersteps = 1;
-    }
-    GRAPE_RETURN_NOT_OK(CheckPhase());
-    uint64_t direct = 0;
-    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-    RecordRound(0.0, TotalUpdated());
-    uint64_t dirty = TotalDirty();
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      double global = 0;
-      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
-      uint64_t routed = 0;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
-      }
-      if (routed + direct == 0 && dirty == 0) break;
-      WallTimer round_timer;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        pool_.ParallelFor(0, n, [&](size_t i) {
-          auto fid = static_cast<FragmentId>(i);
-          Status s = ApplyMessages(fid);
-          if (!s.ok()) {
-            phase_status_[i] = s;
-            return;
-          }
-          cores_[i].IncEval(query, true);
-          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-        });
-      }
-      metrics_.supersteps++;
-      GRAPE_RETURN_NOT_OK(CheckPhase());
-      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
-      dirty = TotalDirty();
-    }
-
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      std::vector<Partial> partials(n);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        partials[i] = cores_[i].GetPartial(query);
-      });
-      output = App::Assemble(query, std::move(partials));
-    }
-    FinishMetrics(total_timer);
-    return output;
+    return RunLocalFixpoint(query, &previous, touched);
   }
 
   /// Streams one edge-mutation batch into the live session: every endpoint
@@ -618,16 +430,18 @@ class GrapeEngine {
 
   /// Q(G ⊕ M) over a live session — the streaming-serving product path.
   /// `batch` must already have been applied with ApplyMutations(); this
-  /// re-answers the session's LAST query (which must equal `query`),
-  /// warm-starting IncEval inside the endpoints from the converged state
-  /// resident there, seeded with the batch's touched vertices.
+  /// re-answers the session's LAST query, warm-starting IncEval inside the
+  /// endpoints from the converged state resident there, seeded with the
+  /// batch's touched vertices.
   ///
-  /// Enforced monotonicity contract (the Assurance Theorem's side
-  /// condition): a min-style warm start is only sound for change that
-  /// moves values down the order. Non-monotonic aggregators, and any
-  /// batch containing deletions, take a full re-run of the query instead
-  /// (reported via metrics().incremental_fallback) — never a silently
-  /// stale answer.
+  /// Enforced contract (the Assurance Theorem's side condition): a
+  /// min-style warm start is only sound for change that moves values down
+  /// the order, applied to the query the state converged on. Non-monotonic
+  /// aggregators, any batch containing deletions, and a `query` whose
+  /// encoding differs from the session's last query take a full
+  /// SessionRun(query) instead (reported via
+  /// metrics().incremental_fallback) — never a silently stale or
+  /// wrong-query answer.
   Result<Output> RunIncremental(const Query& query,
                                 const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
@@ -636,15 +450,8 @@ class GrapeEngine {
             "the session overload answers over remote workers; local "
             "engines pass (query, previous, batch)");
       }
-      if (!Agg::kMonotonic || batch.has_deletions()) {
-        Result<Output> out = SessionRun(query);
-        metrics_.incremental_fallback = true;
-        return out;
-      }
-      Result<Output> out = RunIncrementalRemote(query,
-                                                batch.TouchedVertices());
-      if (!out.ok()) EndSession();
-      return out;
+      return SessionDelta(query, batch.TouchedVertices(),
+                          Agg::kMonotonic && !batch.has_deletions());
     } else {
       return Status::InvalidArgument(
           "query sessions require wire-codable Query/Partial/Value types");
@@ -692,9 +499,11 @@ class GrapeEngine {
   /// superstep loop. Answers are bit-identical to Run(): the per-query
   /// state (parameter store, update sets, message expectations) is rebuilt
   /// from scratch on both paths; only the fragment survives between
-  /// queries. Sessions reject CheckpointPolicy (a session's unit of retry
-  /// is the query — the caller just re-runs it; on failure the session is
-  /// torn down and the next call cold-starts with a full load). Only one
+  /// queries. The session remembers the query it last answered: a
+  /// RunIncremental for any other query falls back to SessionRun. Sessions
+  /// reject CheckpointPolicy (a session's unit of retry is the query — the
+  /// caller just re-runs it; on failure the session is torn down and the
+  /// next call cold-starts with a full load). Only one
   /// engine's session may be live on a shared transport at a time; call
   /// EndSession() before running another engine over the same world.
   Result<Output> SessionRun(const Query& query) {
@@ -708,7 +517,9 @@ class GrapeEngine {
             "query sessions do not support checkpoint/recovery; the retry "
             "unit is the query itself");
       }
-      Result<Output> out = RunSessionQuery(query);
+      Result<Output> out = RunRemoteFixpoint(
+          query, session_live_ ? RemoteSeed::kQuery : RemoteSeed::kLoad,
+          /*session=*/true);
       // Any failure invalidates the session wholesale: workers may be
       // mid-phase with frames in flight. The next call reloads from
       // scratch (and the stale-drain swallows whatever this run left).
@@ -731,6 +542,7 @@ class GrapeEngine {
     }
     session_workers_.reset();
     session_live_ = false;
+    session_query_.clear();
   }
 
   ~GrapeEngine() { EndSession(); }
@@ -939,6 +751,136 @@ class GrapeEngine {
     return Status::OK();
   }
 
+  /// The local PIE fixed point behind Run and the local RunIncremental.
+  /// Cold (previous == nullptr), superstep 1 is PEval. Warm, every local
+  /// copy adopts `previous`'s converged value, the update's `touched`
+  /// vertices seed M, and superstep 1 is the first IncEval — timed as
+  /// IncEval, and always in incremental mode, since bounded re-evaluation
+  /// of the affected region is the point of the warm start.
+  Result<Output> RunLocalFixpoint(const Query& query,
+                                  const GrapeEngine* previous,
+                                  const std::vector<VertexId>& touched) {
+    WallTimer total_timer;
+    metrics_ = EngineMetrics{};
+    world_->ResetStats();
+    recorded_messages_ = 0;
+    recorded_bytes_ = 0;
+    extra_messages_ = 0;
+    extra_bytes_ = 0;
+    const FragmentId n = n_frags_;
+    const bool warm = previous != nullptr;
+    const bool incremental = warm || options_.incremental;
+
+    for (FragmentId i = 0; i < n; ++i) {
+      cores_[i].Reset(options_.check_monotonicity);
+    }
+    if (warm) {
+      // Warm start: every local copy adopts the owner's converged value
+      // from the previous run (unseen vertices keep InitValue).
+      for (FragmentId i = 0; i < n; ++i) {
+        const Fragment& frag = fg_->fragments[i];
+        ParamStore<Value>& store = cores_[i].store();
+        for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
+          VertexId gid = frag.Gid(lid);
+          if (gid >= previous->fg_->owner->size()) continue;  // new vertex
+          FragmentId prev_owner = (*previous->fg_->owner)[gid];
+          const Fragment& prev_frag = previous->fg_->fragments[prev_owner];
+          LocalId prev_lid = prev_frag.Lid(gid);
+          if (prev_lid == kInvalidLocal) continue;
+          store.UntrackedRef(lid) =
+              previous->cores_[prev_owner].store().Get(prev_lid);
+        }
+      }
+      // Seed M: the update's touched vertices (all local copies).
+      for (VertexId gid : touched) {
+        for (FragmentId i = 0; i < n; ++i) {
+          LocalId lid = fg_->fragments[i].Lid(gid);
+          if (lid != kInvalidLocal) cores_[i].updated().push_back(lid);
+        }
+      }
+    }
+
+    // Superstep 1: partial evaluation (warm: the first IncEval) on every
+    // fragment in parallel. Messages are staged inside the parallel phase
+    // and dispatched after the barrier, so nothing a worker sends can be
+    // consumed in the same superstep (BSP delivery semantics).
+    {
+      ScopedTimer t(warm ? &metrics_.inceval_seconds
+                         : &metrics_.peval_seconds);
+      pool_.ParallelFor(0, n, [&](size_t i) {
+        if (warm) {
+          cores_[i].IncEval(query, true);
+        } else {
+          cores_[i].PEval(query);
+        }
+        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
+      });
+      metrics_.supersteps = 1;
+    }
+    GRAPE_RETURN_NOT_OK(CheckPhase());
+    uint64_t direct = 0;
+    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
+    RecordRound(0.0, TotalUpdated());
+    uint64_t dirty = TotalDirty();
+
+    // Supersteps 2..: coordinator routes, workers incrementally evaluate.
+    // Termination per Sec. 2.2(3): every worker inactive and no update
+    // parameter changed anywhere — i.e. neither in-flight messages (routed
+    // through the coordinator or sent directly) nor local parameter changes
+    // (dirty) remain.
+    while (metrics_.supersteps < options_.max_supersteps) {
+      double global = 0;
+      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
+      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
+      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
+
+      uint64_t routed = 0;
+      {
+        ScopedTimer t(&metrics_.coordinator_seconds);
+        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
+      }
+      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
+
+      WallTimer round_timer;
+      {
+        ScopedTimer t(&metrics_.inceval_seconds);
+        pool_.ParallelFor(0, n, [&](size_t i) {
+          auto fid = static_cast<FragmentId>(i);
+          Status s = ApplyMessages(fid);
+          if (!s.ok()) {
+            phase_status_[i] = s;
+            return;
+          }
+          cores_[i].IncEval(query, incremental);
+          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
+        });
+      }
+      metrics_.supersteps++;
+      GRAPE_RETURN_NOT_OK(CheckPhase());
+      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
+      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
+      dirty = TotalDirty();
+      if (options_.verbose && !warm) {
+        GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
+                         << metrics_.rounds.back().messages << " msgs";
+      }
+    }
+
+    // Termination: pull partial results and Assemble at the coordinator.
+    Output output;
+    {
+      ScopedTimer t(&metrics_.assemble_seconds);
+      std::vector<Partial> partials(n);
+      pool_.ParallelFor(0, n, [&](size_t i) {
+        partials[i] = cores_[i].GetPartial(query);
+      });
+      output = App::Assemble(query, std::move(partials));
+    }
+
+    FinishMetrics(total_timer);
+    return output;
+  }
+
   // ------------------------------------------------------ remote compute
 
   /// One awaited remote phase: every worker's ack folded together, with
@@ -1006,7 +948,10 @@ class GrapeEngine {
     // silently compute over the wrong graph/query. Start from nothing.
     ckpt_store_.Clear();
     for (;;) {
-      Result<Output> out = RunRemoteAttempt(query, run_recoveries_ > 0);
+      const RemoteSeed seed = run_recoveries_ > 0 && snapshot_.valid
+                                  ? RemoteSeed::kRestore
+                                  : RemoteSeed::kLoad;
+      Result<Output> out = RunRemoteFixpoint(query, seed, /*session=*/false);
       if (out.ok()) return out;
       const CheckpointPolicy& cp = options_.checkpoint;
       // Recoverable means: the failure is a death, not an app error; the
@@ -1032,7 +977,35 @@ class GrapeEngine {
     }
   }
 
-  Result<Output> RunRemoteAttempt(const Query& query, bool resume)
+  /// How RunRemoteFixpoint seeds a run. Only the opening differs between
+  /// the remote entry points; route, aggregate, IncEval, terminate and
+  /// assemble are one loop for all of them, which is what makes session
+  /// and incremental answers bit-identical to Run()'s.
+  enum class RemoteSeed {
+    /// kTagWkLoad: ship each fragment (a session may stash it resident
+    /// under options_.resident_stash_token) or attach to the resident
+    /// one; superstep 1 is PEval.
+    kLoad,
+    /// kTagWkQuery: re-seed a live session's workers with just the next
+    /// query — no app name, no fragment bytes; superstep 1 is PEval.
+    kQuery,
+    /// kTagWkIncStart: keep the state the session's last query left in
+    /// the workers and open with IncEval over the touched vertices.
+    kIncStart,
+    /// RestoreFromSnapshot: a rebuilt world resumes at the last
+    /// checkpoint barrier, past superstep 1.
+    kRestore,
+  };
+
+  /// The remote PIE fixed point behind Run, SessionRun and the session
+  /// RunIncremental. `session` keeps the workers resident for the next
+  /// call: their in-thread hosts live in session_workers_ and no shutdown
+  /// frame is sent. Only a batch run (!session) checkpoints, logs its
+  /// supersteps under --verbose, reports recoveries and retires its
+  /// workers; a session's unit of retry is the query itself.
+  Result<Output> RunRemoteFixpoint(const Query& query, RemoteSeed seed,
+                                   bool session,
+                                   const std::vector<VertexId>& touched = {})
     requires RemoteCompatibleApp<App>
   {
     WallTimer total_timer;
@@ -1049,7 +1022,7 @@ class GrapeEngine {
     metrics_.remote_worker_pids.assign(n, 0);
     metrics_.remote_peval_runs.assign(n, 0);
     metrics_.remote_inceval_runs.assign(n, 0);
-    metrics_.recoveries = run_recoveries_;
+    if (!session) metrics_.recoveries = run_recoveries_;
     remote_mono_.assign(n, 0);
 
     const CheckpointPolicy& cp = options_.checkpoint;
@@ -1068,92 +1041,105 @@ class GrapeEngine {
       });
     }
 
-    // Cover the in-thread host path even when nobody pre-registered this
-    // app; endpoint processes snapshot the registry at fork, so for
-    // socket/tcp the registration must already have happened there.
-    if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
-      RegisterRemoteWorker<App>(options_.remote_app);
-    }
-    // A previous run on this world may have left worker-protocol frames
-    // behind (an abandoned phase after an error): drain them before any
-    // worker host can see them, so they cannot masquerade as this run's
-    // traffic. Only worker tags are touched.
-    for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-      for (uint32_t rank = 0; rank <= n; ++rank) {
-        while (auto stale = world_->TryRecv(rank, tag)) {
-          world_->buffer_pool().Release(std::move(stale->payload));
+    // A batch run's in-thread hosts live for this attempt only.
+    std::unique_ptr<InThreadWorkers> attempt_hosts;
+    if (seed == RemoteSeed::kLoad || seed == RemoteSeed::kRestore) {
+      // Cover the in-thread host path even when nobody pre-registered this
+      // app; endpoint processes snapshot the registry at fork, so for
+      // socket/tcp the registration must already have happened there.
+      if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
+        RegisterRemoteWorker<App>(options_.remote_app);
+      }
+      // A previous run on this world — an abandoned phase after an error,
+      // or a prior engine's session on a shared world — may have left
+      // worker-protocol frames behind: drain them before any worker host
+      // can see them, so they cannot masquerade as this run's traffic.
+      // Only worker tags are touched.
+      for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
+        for (uint32_t rank = 0; rank <= n; ++rank) {
+          while (auto stale = world_->TryRecv(rank, tag)) {
+            world_->buffer_pool().Release(std::move(stale->payload));
+          }
         }
       }
+      auto hosts = std::make_unique<InThreadWorkers>(
+          world_, n, !world_->has_remote_endpoints());
+      (session ? session_workers_ : attempt_hosts) = std::move(hosts);
     }
-    InThreadWorkers in_thread(world_, n, !world_->has_remote_endpoints(),
-                              options_.timing.poll_interval_us,
-                              options_.timing.idle_spins,
-                              options_.timing.idle_poll_interval_us);
 
     RemoteRound round;
-    uint64_t dirty = 0;
-    uint64_t direct = 0;
-    double global = 0;
-    if (resume && snapshot_.valid) {
+    // Books a completed superstep: the workers' ack-reported flush traffic
+    // joins the comm views, the round is recorded, a due checkpoint is
+    // taken, and the observability hook fires.
+    auto close_round = [&](double seconds) -> Status {
+      extra_messages_ += round.sent_messages;
+      extra_bytes_ += round.sent_bytes;
+      RecordRound(seconds, round.updated_count);
+      if (!session) GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
+      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
+      return Status::OK();
+    };
+    if (seed == RemoteSeed::kRestore) {
       // Rebuilt world: re-seed every (fresh) worker from its checkpoint
       // image and roll the coordinator back to the barrier.
-      GRAPE_RETURN_NOT_OK(
-          RestoreFromSnapshot(&round, &dirty, &direct, &global));
+      GRAPE_RETURN_NOT_OK(RestoreFromSnapshot(&round));
     } else {
-      // Load: app name + flags + query + the fragment. Coordinator-loaded
-      // engines serialize the fragment (with its routing plan and the
-      // shared owner tables); distributed-load engines ship only the build
-      // token, and each worker attaches to the fragment already resident
-      // in its own process — the graph never transits rank 0.
-      {
+      if (seed != RemoteSeed::kIncStart) {
+        // A warm kTagWkQuery re-seeds the parameter store from the
+        // fragment the worker already holds and acks with the same
+        // load-phase ack a full load would produce.
         ScopedTimer t(&metrics_.load_seconds);
         for (FragmentId i = 0; i < n; ++i) {
           Encoder enc(world_->buffer_pool().Acquire());
-          enc.WriteString(options_.remote_app);
-          uint8_t flags =
-              options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-          if (fg_ == nullptr) flags |= kWkLoadUseResident;
-          if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
-          enc.WriteU8(flags);
-          // Gated on the flag so compute_threads <= 1 load frames stay
-          // byte-identical to every frame this engine ever sent.
-          if (options_.compute_threads > 1) {
-            enc.WriteU32(options_.compute_threads);
-          }
-          EncodeValue(enc, query);
-          if (fg_ == nullptr) {
-            enc.WriteU64(resident_token_);
+          if (seed == RemoteSeed::kQuery) {
+            EncodeValue(enc, query);
           } else {
-            fg_->fragments[i].EncodeTo(enc);
+            EncodeLoadFrame(enc, i, query, session);
           }
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkLoad, enc.TakeBuffer()));
+          GRAPE_RETURN_NOT_OK(world_->Send(
+              kCoordinatorRank, RankOf(i),
+              seed == RemoteSeed::kQuery ? kTagWkQuery : kTagWkLoad,
+              enc.TakeBuffer()));
         }
         RemoteRound load;
         GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
+        if (session) {
+          // What the workers now hold answers this query; SessionDelta
+          // checks a warm start against it.
+          session_query_ = QueryBytes(query);
+          session_live_ = true;
+        }
       }
 
-      // Superstep 1: remote PEval everywhere.
+      // Superstep 1: remote PEval everywhere — or the warm IncEval seeded
+      // with the touched vertices, deliberately without a kTagWkQuery: a
+      // query re-seed resets the parameter store, destroying exactly the
+      // state the incremental path exists to exploit. It takes PEval's
+      // slot in the loop but is timed and counted as IncEval.
+      const bool inc_start = seed == RemoteSeed::kIncStart;
       {
-        ScopedTimer t(&metrics_.peval_seconds);
+        ScopedTimer t(inc_start ? &metrics_.inceval_seconds
+                                : &metrics_.peval_seconds);
         for (FragmentId i = 0; i < n; ++i) {
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunPEval, {}));
+          std::vector<uint8_t> payload;
+          if (inc_start) {
+            Encoder enc(world_->buffer_pool().Acquire());
+            enc.WritePodVector(touched);
+            payload = enc.TakeBuffer();
+          }
+          GRAPE_RETURN_NOT_OK(world_->Send(
+              kCoordinatorRank, RankOf(i),
+              inc_start ? kTagWkIncStart : kTagWkRunPEval, std::move(payload)));
         }
-        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhasePEval, 1, &round));
+        GRAPE_RETURN_NOT_OK(AwaitPhase(
+            inc_start ? kWkPhaseIncEval : kWkPhasePEval, 1, &round));
         metrics_.supersteps = 1;
       }
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(0.0, round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
+      GRAPE_RETURN_NOT_OK(close_round(0.0));
     }
 
     while (metrics_.supersteps < options_.max_supersteps) {
+      const double global = round.GlobalSum();
       if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
       // apps_[0]'s termination hook lives in worker rank 1 now; one
       // control round-trip evaluates it against the summed global.
@@ -1171,7 +1157,8 @@ class GrapeEngine {
         GRAPE_ASSIGN_OR_RETURN(
             routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
       }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
+      // Simultaneous fixpoint.
+      if (routed + round.direct_updates == 0 && round.dirty == 0) break;
 
       WallTimer round_timer;
       RemoteRound next;
@@ -1197,19 +1184,12 @@ class GrapeEngine {
       }
       round = std::move(next);
       metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.verbose) {
+      GRAPE_RETURN_NOT_OK(close_round(round_timer.ElapsedSeconds()));
+      if (options_.verbose && !session) {
         GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
                          << metrics_.rounds.back().messages
                          << " msgs (remote)";
       }
-      GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
     }
     remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
                                               : round.mono_by_frag;
@@ -1223,201 +1203,99 @@ class GrapeEngine {
                                          kTagWkGetPartial, {}));
       }
       std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
+      GRAPE_RETURN_NOT_OK(AwaitFrames(
+          "partials", n, [&](RtMessage& msg, bool fresh) -> Result<bool> {
+            if (msg.tag != kTagWkPartial || !fresh) return false;
+            Decoder dec(msg.payload);
+            GRAPE_RETURN_NOT_OK(DecodeValue(dec, &partials[msg.from - 1]));
+            return true;
+          }));
       output = App::Assemble(query, std::move(partials));
     }
 
-    // Retire the workers (best effort: the run already succeeded; an
-    // endpoint that died here surfaces through the transport anyway).
-    for (FragmentId i = 0; i < n; ++i) {
-      (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkShutdown, {});
+    // A batch run retires its workers (best effort: the run already
+    // succeeded; an endpoint that died here surfaces through the transport
+    // anyway). A session's workers stay resident for the next query.
+    if (!session) {
+      for (FragmentId i = 0; i < n; ++i) {
+        (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkShutdown, {});
+      }
     }
 
     FinishMetrics(total_timer);
     return output;
   }
 
-  /// One query over a persistent worker session. Structurally
-  /// RunRemoteAttempt minus checkpointing, recovery, and worker
-  /// retirement: the load step runs once per session (full fragment ship
-  /// or resident attach, optionally stashing under
-  /// options_.resident_stash_token), and later queries replace it with a
-  /// kTagWkQuery re-seed that reuses the worker's resident fragment. The
-  /// superstep loop, routing, and assembly are identical, which is what
-  /// makes session answers bit-identical to Run()'s.
-  Result<Output> RunSessionQuery(const Query& query)
+  /// Fragment i's kTagWkLoad payload: app name + flags + query + the
+  /// fragment. Coordinator-loaded engines serialize the fragment (with
+  /// its routing plan and the shared owner tables) — a session's, under
+  /// a non-zero resident_stash_token, preceded by the token the worker
+  /// deposits it under; distributed-load engines ship only the build
+  /// token, and each worker attaches to the fragment already resident in
+  /// its own process — the graph never transits rank 0.
+  void EncodeLoadFrame(Encoder& enc, FragmentId i, const Query& query,
+                       bool session)
     requires RemoteCompatibleApp<App>
   {
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    base_messages_ = 0;
-    base_bytes_ = 0;
-    remote_inbox_.clear();
-    const FragmentId n = n_frags_;
-    metrics_.remote_worker_pids.assign(n, 0);
-    metrics_.remote_peval_runs.assign(n, 0);
-    metrics_.remote_inceval_runs.assign(n, 0);
-    remote_mono_.assign(n, 0);
+    const bool stash =
+        session && fg_ != nullptr && options_.resident_stash_token != 0;
+    enc.WriteString(options_.remote_app);
+    uint8_t flags = options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
+    if (fg_ == nullptr) flags |= kWkLoadUseResident;
+    if (stash) flags |= kWkLoadStashResident;
+    if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
+    enc.WriteU8(flags);
+    // Gated on the flag so compute_threads <= 1 load frames stay
+    // byte-identical to every frame this engine ever sent.
+    if (options_.compute_threads > 1) enc.WriteU32(options_.compute_threads);
+    EncodeValue(enc, query);
+    if (fg_ == nullptr) {
+      enc.WriteU64(resident_token_);
+      return;
+    }
+    if (stash) enc.WriteU64(options_.resident_stash_token);
+    fg_->fragments[i].EncodeTo(enc);
+  }
 
+  /// The bounded delta behind both remote RunIncremental overloads: IncEval
+  /// warm-started inside the endpoints from the state the session's last
+  /// query left there. That warm start is sound only for change that
+  /// moves values down the order (`monotone_change`) and only for the
+  /// very query the endpoints converged on — compared by its encoded
+  /// bytes, since kTagWkIncStart carries just the touched vertices.
+  /// Anything else re-answers through SessionRun and flags the fallback.
+  Result<Output> SessionDelta(const Query& query,
+                              const std::vector<VertexId>& touched,
+                              bool monotone_change)
+    requires RemoteCompatibleApp<App>
+  {
+    const bool same_query =
+        !session_live_ || QueryBytes(query) == session_query_;
+    if (!monotone_change || !same_query) {
+      Result<Output> out = SessionRun(query);
+      metrics_.incremental_fallback = true;
+      return out;
+    }
     if (!session_live_) {
-      if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
-        RegisterRemoteWorker<App>(options_.remote_app);
-      }
-      // Same stale-drain as a fresh Run: an abandoned query (or a prior
-      // engine's session on this shared world) may have left
-      // worker-protocol frames behind.
-      for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-        for (uint32_t rank = 0; rank <= n; ++rank) {
-          while (auto stale = world_->TryRecv(rank, tag)) {
-            world_->buffer_pool().Release(std::move(stale->payload));
-          }
-        }
-      }
-      session_workers_ = std::make_unique<InThreadWorkers>(
-          world_, n, !world_->has_remote_endpoints(),
-          options_.timing.poll_interval_us, options_.timing.idle_spins,
-          options_.timing.idle_poll_interval_us);
-      {
-        ScopedTimer t(&metrics_.load_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          Encoder enc(world_->buffer_pool().Acquire());
-          enc.WriteString(options_.remote_app);
-          uint8_t flags =
-              options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-          if (fg_ == nullptr) {
-            flags |= kWkLoadUseResident;
-          } else if (options_.resident_stash_token != 0) {
-            flags |= kWkLoadStashResident;
-          }
-          if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
-          enc.WriteU8(flags);
-          if (options_.compute_threads > 1) {
-            enc.WriteU32(options_.compute_threads);
-          }
-          EncodeValue(enc, query);
-          if (fg_ == nullptr) {
-            enc.WriteU64(resident_token_);
-          } else if (options_.resident_stash_token != 0) {
-            enc.WriteU64(options_.resident_stash_token);
-            fg_->fragments[i].EncodeTo(enc);
-          } else {
-            fg_->fragments[i].EncodeTo(enc);
-          }
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkLoad, enc.TakeBuffer()));
-        }
-        RemoteRound load;
-        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
-      }
-      session_live_ = true;
-    } else {
-      // Warm path: just the query crosses the wire. The worker re-seeds
-      // its parameter store from the fragment it already holds and acks
-      // with the same load-phase ack a full load would produce.
-      ScopedTimer t(&metrics_.load_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        Encoder enc(world_->buffer_pool().Acquire());
-        EncodeValue(enc, query);
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkQuery, enc.TakeBuffer()));
-      }
-      RemoteRound load;
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
+      return Status::FailedPrecondition(
+          "incremental evaluation rides a live query session: SessionRun "
+          "the query, ApplyMutations the batch, then RunIncremental "
+          "re-answers that same query");
     }
+    Result<Output> out = RunRemoteFixpoint(query, RemoteSeed::kIncStart,
+                                           /*session=*/true, touched);
+    // Same invalidation contract as SessionRun: a failed delta leaves
+    // workers mid-phase, so the next call must cold-start.
+    if (!out.ok()) EndSession();
+    return out;
+  }
 
-    // Superstep 1: remote PEval everywhere.
-    RemoteRound round;
-    {
-      ScopedTimer t(&metrics_.peval_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkRunPEval, {}));
-      }
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhasePEval, 1, &round));
-      metrics_.supersteps = 1;
-    }
-    extra_messages_ += round.sent_messages;
-    extra_bytes_ += round.sent_bytes;
-    RecordRound(0.0, round.updated_count);
-    uint64_t dirty = round.dirty;
-    uint64_t direct = round.direct_updates;
-    double global = round.GlobalSum();
-    if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
-
-      uint64_t routed = 0;
-      std::vector<uint32_t> apply_counts;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        std::vector<RtMessage> inbox = std::move(remote_inbox_);
-        remote_inbox_.clear();
-        GRAPE_ASSIGN_OR_RETURN(
-            routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      RemoteRound next;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          IncEvalCommand cmd;
-          cmd.round = metrics_.supersteps + 1;
-          cmd.incremental = options_.incremental;
-          cmd.apply_frames = apply_counts[i];
-          for (FragmentId s = 0; s < n; ++s) {
-            const uint32_t frames = round.direct_matrix[s][i];
-            if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-          }
-          Encoder enc(world_->buffer_pool().Acquire());
-          cmd.EncodeTo(enc);
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunIncEval,
-                                           enc.TakeBuffer()));
-        }
-        GRAPE_RETURN_NOT_OK(
-            AwaitPhase(kWkPhaseIncEval, metrics_.supersteps + 1, &next));
-      }
-      round = std::move(next);
-      metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-    remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
-                                              : round.mono_by_frag;
-
-    // Termination: remote GetPartial everywhere, Assemble here. No
-    // shutdown frames — the workers stay resident for the next query.
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkGetPartial, {}));
-      }
-      std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
+  static std::vector<uint8_t> QueryBytes(const Query& query)
+    requires RemoteCompatibleApp<App>
+  {
+    Encoder enc;
+    EncodeValue(enc, query);
+    return enc.TakeBuffer();
   }
 
   /// Ships the encoded batch to every endpoint and collects the rebuilt
@@ -1439,161 +1317,16 @@ class GrapeEngine {
                                        kTagWkMutate, enc.TakeBuffer()));
     }
     std::vector<WkBuildAck> shapes(n);
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "mutation acks", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkMutateAck && msg->from >= 1 && msg->from <= n &&
-          !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        WkBuildAck ack;
-        Status s = WkBuildAck::DecodeFrom(dec, &ack);
-        world_->buffer_pool().Release(std::move(msg->payload));
-        GRAPE_RETURN_NOT_OK(s);
-        shapes[msg->from - 1] = ack;
-        seen[msg->from - 1] = 1;
-        have++;
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
+    GRAPE_RETURN_NOT_OK(AwaitFrames(
+        "mutation acks", n, [&](RtMessage& msg, bool fresh) -> Result<bool> {
+          if (msg.tag != kTagWkMutateAck || !fresh) return false;
+          Decoder dec(msg.payload);
+          GRAPE_RETURN_NOT_OK(
+              WkBuildAck::DecodeFrom(dec, &shapes[msg.from - 1]));
+          return true;
+        }));
     RefreshShapes(shapes);
     return shapes;
-  }
-
-  /// The bounded delta: IncEval warm-started inside the endpoints from
-  /// the state the session's last query left there, seeded with the
-  /// mutation's touched vertices. Deliberately NO kTagWkQuery frame — a
-  /// query re-seed resets the parameter store, destroying exactly the
-  /// state this path exists to exploit. From superstep 1 onward this is
-  /// RunSessionQuery's loop verbatim: route, aggregate, terminate,
-  /// assemble.
-  Result<Output> RunIncrementalRemote(const Query& query,
-                                      const std::vector<VertexId>& touched)
-    requires RemoteCompatibleApp<App>
-  {
-    if (!session_live_) {
-      return Status::FailedPrecondition(
-          "incremental evaluation rides a live query session: SessionRun "
-          "the query, ApplyMutations the batch, then RunIncremental "
-          "re-answers that same query");
-    }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    base_messages_ = 0;
-    base_bytes_ = 0;
-    remote_inbox_.clear();
-    const FragmentId n = n_frags_;
-    metrics_.remote_worker_pids.assign(n, 0);
-    metrics_.remote_peval_runs.assign(n, 0);
-    metrics_.remote_inceval_runs.assign(n, 0);
-    remote_mono_.assign(n, 0);
-
-    // Superstep 1: warm IncEval everywhere (PEval's slot in the loop).
-    RemoteRound round;
-    {
-      ScopedTimer t(&metrics_.inceval_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        Encoder enc(world_->buffer_pool().Acquire());
-        enc.WritePodVector(touched);
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkIncStart, enc.TakeBuffer()));
-      }
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, 1, &round));
-      metrics_.supersteps = 1;
-    }
-    extra_messages_ += round.sent_messages;
-    extra_bytes_ += round.sent_bytes;
-    RecordRound(0.0, round.updated_count);
-    uint64_t dirty = round.dirty;
-    uint64_t direct = round.direct_updates;
-    double global = round.GlobalSum();
-    if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
-
-      uint64_t routed = 0;
-      std::vector<uint32_t> apply_counts;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        std::vector<RtMessage> inbox = std::move(remote_inbox_);
-        remote_inbox_.clear();
-        GRAPE_ASSIGN_OR_RETURN(
-            routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      RemoteRound next;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          IncEvalCommand cmd;
-          cmd.round = metrics_.supersteps + 1;
-          cmd.incremental = options_.incremental;
-          cmd.apply_frames = apply_counts[i];
-          for (FragmentId s = 0; s < n; ++s) {
-            const uint32_t frames = round.direct_matrix[s][i];
-            if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-          }
-          Encoder enc(world_->buffer_pool().Acquire());
-          cmd.EncodeTo(enc);
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunIncEval,
-                                           enc.TakeBuffer()));
-        }
-        GRAPE_RETURN_NOT_OK(
-            AwaitPhase(kWkPhaseIncEval, metrics_.supersteps + 1, &next));
-      }
-      round = std::move(next);
-      metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-    remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
-                                              : round.mono_by_frag;
-
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkGetPartial, {}));
-      }
-      std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
   }
 
   /// Checkpoint barrier, entered right after a round's acks (and therefore
@@ -1610,9 +1343,10 @@ class GrapeEngine {
     }
     ScopedTimer timer(&metrics_.checkpoint_seconds);
     const FragmentId n = n_frags_;
+    const uint32_t barrier = metrics_.supersteps;
     for (FragmentId i = 0; i < n; ++i) {
       WkCheckpointCommand cmd;
-      cmd.round = metrics_.supersteps;
+      cmd.round = barrier;
       cmd.dir = cp.dir;
       for (FragmentId s = 0; s < n; ++s) {
         const uint32_t frames = round.direct_matrix[s][i];
@@ -1623,13 +1357,34 @@ class GrapeEngine {
       GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
                                        kTagWkCheckpoint, enc.TakeBuffer()));
     }
+    // One kTagWkCheckpointAck per worker for this barrier. Inline images
+    // are validated by a full decode BEFORE being committed to the store:
+    // a corrupt image must never become the recovery point. No kTagWkData
+    // can legitimately arrive here (the barrier sits between a round's
+    // acks and the next round's commands), so anything else is stale.
     uint64_t bytes = 0;
-    GRAPE_RETURN_NOT_OK(AwaitCheckpointAcks(metrics_.supersteps, &bytes));
+    GRAPE_RETURN_NOT_OK(AwaitFrames(
+        "checkpoint acks", n, [&](RtMessage& msg, bool fresh) -> Result<bool> {
+          if (msg.tag != kTagWkCheckpointAck || !fresh) return false;
+          Decoder dec(msg.payload);
+          WkCheckpointAck ack;
+          GRAPE_RETURN_NOT_OK(WkCheckpointAck::DecodeFrom(dec, &ack));
+          if (ack.round != barrier) return false;  // stale duplicate
+          bytes += ack.bytes;
+          if (!ack.image.empty()) {
+            GRAPE_RETURN_NOT_OK(
+                DecodeCheckpointImage(ack.image.data(), ack.image.size())
+                    .status());
+            GRAPE_RETURN_NOT_OK(
+                ckpt_store_.Put(msg.from, barrier, std::move(ack.image)));
+          }
+          return true;
+        }));
     metrics_.checkpoints++;
     metrics_.checkpoint_bytes += bytes;
 
     snapshot_.valid = false;  // not valid while half-written
-    snapshot_.supersteps = metrics_.supersteps;
+    snapshot_.supersteps = barrier;
     snapshot_.round = round;
     snapshot_.inbox.clear();
     snapshot_.inbox.reserve(remote_inbox_.size());
@@ -1649,62 +1404,13 @@ class GrapeEngine {
     return Status::OK();
   }
 
-  /// Collects one kTagWkCheckpointAck per worker for barrier `round`.
-  /// Inline images are validated by a full decode BEFORE being committed
-  /// to the store: a corrupt image must never become the recovery point.
-  /// No kTagWkData can legitimately arrive here (the barrier sits between
-  /// a round's acks and the next round's commands), so anything else is
-  /// stale and released.
-  Status AwaitCheckpointAcks(uint32_t round, uint64_t* bytes) {
-    const FragmentId n = n_frags_;
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "checkpoint acks", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkCheckpointAck && msg->from >= 1 &&
-          msg->from <= n && !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        WkCheckpointAck ack;
-        GRAPE_RETURN_NOT_OK(WkCheckpointAck::DecodeFrom(dec, &ack));
-        world_->buffer_pool().Release(std::move(msg->payload));
-        if (ack.round != round) continue;  // stale duplicate
-        seen[msg->from - 1] = 1;
-        have++;
-        *bytes += ack.bytes;
-        if (!ack.image.empty()) {
-          GRAPE_RETURN_NOT_OK(
-              DecodeCheckpointImage(ack.image.data(), ack.image.size())
-                  .status());
-          GRAPE_RETURN_NOT_OK(
-              ckpt_store_.Put(msg->from, round, std::move(ack.image)));
-        }
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
-    return Status::OK();
-  }
-
   /// Re-seeds a rebuilt world from snapshot_ + ckpt_store_: ships each
   /// worker its image (inline in memory mode; by directory in disk mode),
   /// awaits the restore acks — which report the NEW endpoint pids — then
-  /// rolls the coordinator's counters, metrics, and routed inbox back to
-  /// the barrier. The loop resumes exactly as the fault-free run would
+  /// rolls the coordinator's counters, metrics, routed inbox and barrier
+  /// round back. The loop resumes exactly as the fault-free run would
   /// have continued from that superstep.
-  Status RestoreFromSnapshot(RemoteRound* round, uint64_t* dirty,
-                             uint64_t* direct, double* global) {
+  Status RestoreFromSnapshot(RemoteRound* round) {
     const FragmentId n = n_frags_;
     const CheckpointPolicy& cp = options_.checkpoint;
     double restore_seconds = 0;
@@ -1763,60 +1469,37 @@ class GrapeEngine {
           RtMessage{from, kCoordinatorRank, kTagWkData, std::move(copy)});
     }
     *round = snapshot_.round;
-    *dirty = snapshot_.round.dirty;
-    *direct = snapshot_.round.direct_updates;
-    *global = snapshot_.round.GlobalSum();
     return Status::OK();
   }
 
-  /// Pulls rank-0 frames until every worker acked `phase` (round-tagged
-  /// for IncEval). kTagWkData frames are buffered into remote_inbox_ —
+  /// Awaits every worker's ack of `phase` (round-tagged for IncEval),
+  /// folded into *out. kTagWkData frames are buffered into remote_inbox_ —
   /// FIFO per channel guarantees a worker's data precedes its ack, so a
-  /// complete ack set means a complete round inbox. Never blocks in Recv:
-  /// a dead endpoint or a dropped control frame must surface as a Status
-  /// within bounded time, not hang the superstep loop.
+  /// complete ack set means a complete round inbox.
   Status AwaitPhase(uint8_t phase, uint32_t round, RemoteRound* out) {
     const FragmentId n = n_frags_;
     out->global_by_frag.assign(n, 0.0);
     out->mono_by_frag.assign(n, 0);
     out->direct_matrix.assign(n, std::vector<uint32_t>(n, 0));
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "phase acks", &idle));
-        continue;
-      }
-      idle = 0;
-      // Any frame from a worker — data, ack, vote, pong — is proof of
-      // life for the lease monitor (pongs then fall to the stale branch).
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      switch (msg->tag) {
-        case kTagWkData:
-          remote_inbox_.push_back(std::move(*msg));
-          break;
-        case kTagWkError:
-          return DecodeWorkerError(msg->payload);
-        case kTagWkAck: {
-          Decoder dec(msg->payload);
+    return AwaitFrames(
+        "phase acks", n, [&](RtMessage& msg, bool fresh) -> Result<bool> {
+          if (msg.tag == kTagWkData) {
+            remote_inbox_.push_back(std::move(msg));
+            return false;
+          }
+          // Stale vote/partial after a duplicated control frame: ignore.
+          if (msg.tag != kTagWkAck) return false;
+          Decoder dec(msg.payload);
           WorkerAck ack;
           GRAPE_RETURN_NOT_OK(WorkerAck::DecodeFrom(dec, &ack));
-          world_->buffer_pool().Release(std::move(msg->payload));
-          if (msg->from < 1 || msg->from > n) {
+          if (msg.from < 1 || msg.from > n) {
             return Status::Internal("worker ack from rank " +
-                                    std::to_string(msg->from));
+                                    std::to_string(msg.from));
           }
-          const FragmentId frag = msg->from - 1;
-          if (ack.phase != phase || ack.round != round || seen[frag]) {
-            break;  // stale or duplicated (flaky substrate); ignore
+          if (ack.phase != phase || ack.round != round || !fresh) {
+            return false;  // stale or duplicated (flaky substrate); ignore
           }
-          seen[frag] = 1;
-          have++;
+          const FragmentId frag = msg.from - 1;
           out->dirty += ack.dirty;
           out->direct_updates += ack.direct_updates;
           out->updated_count += ack.updated_count;
@@ -1838,15 +1521,8 @@ class GrapeEngine {
           } else if (ack.phase == kWkPhaseIncEval) {
             metrics_.remote_inceval_runs[frag]++;
           }
-          break;
-        }
-        default:
-          // Stale vote/partial after a duplicated control frame: ignore.
-          world_->buffer_pool().Release(std::move(msg->payload));
-          break;
-      }
-    }
-    return Status::OK();
+          return true;
+        });
   }
 
   Result<bool> RemoteCheckTerminate(uint32_t round, double global) {
@@ -1855,85 +1531,83 @@ class GrapeEngine {
     enc.WriteDouble(global);
     GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(0),
                                      kTagWkCheckTerm, enc.TakeBuffer()));
-    uint32_t idle = 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.remote_timeout_ms);
-    for (;;) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "termination vote", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n_frags_) {
-        monitor_.Heard(msg->from - 1);
-      }
-      if (msg->tag == kTagWkVote) {
-        Decoder dec(msg->payload);
-        uint32_t vote_round = 0;
-        bool vote = false;
-        GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
-        GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
-        world_->buffer_pool().Release(std::move(msg->payload));
-        // A duplicated CheckTerm (flaky substrate) leaves a stale vote
-        // for an earlier round behind; only this round's verdict counts.
-        if (vote_round != round) continue;
-        return vote;
-      }
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkData) {
-        remote_inbox_.push_back(std::move(*msg));
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));  // stale
-    }
+    bool vote = false;
+    GRAPE_RETURN_NOT_OK(AwaitFrames(
+        "termination vote", 1,
+        [&](RtMessage& msg, bool fresh) -> Result<bool> {
+          if (msg.tag == kTagWkData) {
+            remote_inbox_.push_back(std::move(msg));
+            return false;
+          }
+          if (msg.tag != kTagWkVote || !fresh) return false;
+          Decoder dec(msg.payload);
+          uint32_t vote_round = 0;
+          GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
+          GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
+          // A duplicated CheckTerm (flaky substrate) leaves a stale vote
+          // for an earlier round behind; only this round's verdict counts.
+          return vote_round == round;
+        }));
+    return vote;
   }
 
-  Status AwaitPartials(std::vector<Partial>* partials)
-    requires RemoteCompatibleApp<App>
-  {
+  /// The coordinator's one wait, behind every remote phase: pulls rank-0
+  /// frames until `want` workers have answered. `on_frame(msg, fresh)`
+  /// sees every frame except a worker error — `fresh` says the sender is
+  /// a worker that has not answered this wait yet — and returns whether
+  /// the frame was that fresh worker's answer. It may keep the message
+  /// (moving it out); whatever payload it leaves is released to the pool.
+  /// A kTagWkError from any worker ends the wait with that worker's
+  /// status. Never blocks in Recv: a dead endpoint or a dropped control
+  /// frame must surface as a Status within bounded time, not hang the
+  /// superstep loop.
+  template <typename OnFrame>
+  Status AwaitFrames(const char* what, FragmentId want, OnFrame on_frame) {
     const FragmentId n = n_frags_;
-    std::vector<uint8_t> seen(n, 0);
+    std::vector<uint8_t> answered(n, 0);
     FragmentId have = 0;
     uint32_t idle = 0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
+    while (have < want) {
       std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
       if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "partials", &idle));
+        GRAPE_RETURN_NOT_OK(CheckRemoteLiveness(deadline, what, &idle));
         continue;
       }
       idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
+      const uint32_t from = msg->from;
+      const bool worker = from >= 1 && from <= n;
+      // Any frame from a worker — data, ack, vote, pong — is proof of
+      // life for the lease monitor (pongs then fall to the stale branch).
+      if (worker) monitor_.Heard(from - 1);
       if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkPartial && msg->from >= 1 && msg->from <= n &&
-          !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        GRAPE_RETURN_NOT_OK(DecodeValue(dec, &(*partials)[msg->from - 1]));
-        seen[msg->from - 1] = 1;
+      const bool fresh = worker && !answered[from - 1];
+      Result<bool> answer = on_frame(*msg, fresh);
+      world_->buffer_pool().Release(std::move(msg->payload));
+      GRAPE_RETURN_NOT_OK(answer.status());
+      if (fresh && *answer) {
+        answered[from - 1] = 1;
         have++;
       }
-      world_->buffer_pool().Release(std::move(msg->payload));
     }
     return Status::OK();
   }
 
-  /// The await loops' idle step: fail fast on a dead transport (a killed
+  /// The await loop's idle step: fail fast on a dead transport (a killed
   /// endpoint marks it unhealthy within its bounded detection time), fail
   /// with Unavailable past the per-phase deadline (a dropped control
   /// frame on a flaky-but-alive substrate), otherwise yield. The yield
-  /// backs off adaptively per EngineTimingOptions — fast polls while a
-  /// phase is actively completing (sub-millisecond inproc rounds stay
-  /// snappy), the idle cadence once the wait is clearly compute-bound —
-  /// so a long remote PEval does not burn an engine core on TryRecv
-  /// polling. Callers reset *idle on every received frame. Under a
-  /// CheckpointPolicy the step also runs the failure detector: leases
-  /// that expired get a ping (a control frame invisible to CommStats),
-  /// and the pid probe turns a SIGKILLed local endpoint into Unavailable
-  /// within one poll instead of waiting out the phase deadline.
+  /// backs off adaptively (IdleBackoff, rt/remote_worker.h) — fast polls
+  /// while a phase is actively completing (sub-millisecond inproc rounds
+  /// stay snappy), the idle cadence once the wait is clearly
+  /// compute-bound — so a long remote PEval does not burn an engine core
+  /// on TryRecv polling. Callers reset *idle on every received frame.
+  /// Under a CheckpointPolicy the step also runs the failure detector:
+  /// leases that expired get a ping (a control frame invisible to
+  /// CommStats), and the pid probe turns a SIGKILLed local endpoint into
+  /// Unavailable within one poll instead of waiting out the phase
+  /// deadline.
   Status CheckRemoteLiveness(
       const std::chrono::steady_clock::time_point& deadline,
       const char* what, uint32_t* idle) {
@@ -1956,14 +1630,7 @@ class GrapeEngine {
       }
       GRAPE_RETURN_NOT_OK(monitor_.Check());
     }
-    if (*idle < options_.timing.idle_spins) {
-      ++*idle;
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.timing.poll_interval_us));
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.timing.idle_poll_interval_us));
-    }
+    IdleBackoff(idle);
     return Status::OK();
   }
 
@@ -2011,10 +1678,11 @@ class GrapeEngine {
 
   // Query sessions (SessionRun): persistent in-thread hosts (inproc
   // backends; endpoint backends keep their workers in the endpoint
-  // processes) and whether the remote workers currently hold a loaded
-  // app + fragment.
+  // processes), whether the remote workers currently hold a loaded
+  // app + fragment, and the encoded query their state answers.
   std::unique_ptr<InThreadWorkers> session_workers_;
   bool session_live_ = false;
+  std::vector<uint8_t> session_query_;
 
   // Fault tolerance (CheckpointPolicy): failure detector, worker image
   // store, the coordinator snapshot the retry loop resumes from, and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "rt/message.h"
@@ -26,7 +25,7 @@ std::atomic<uint64_t>& TokenCounter() {
 
 /// One coordinator await step (mirrors the engine's CheckRemoteLiveness):
 /// fail fast on a dead transport, Unavailable past the deadline,
-/// otherwise yield with adaptive backoff.
+/// otherwise yield with the shared await cadence (IdleBackoff).
 Status AwaitStep(Transport* world,
                  const std::chrono::steady_clock::time_point& deadline,
                  const char* what, uint32_t* idle) {
@@ -37,12 +36,7 @@ Status AwaitStep(Transport* world,
   if (std::chrono::steady_clock::now() > deadline) {
     return Status::Unavailable(std::string("timed out awaiting ") + what);
   }
-  if (*idle < 40) {
-    ++*idle;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  IdleBackoff(idle);
   return Status::OK();
 }
 

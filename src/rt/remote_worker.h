@@ -626,18 +626,26 @@ class RemoteWorkerHost {
 void EncodeWorkerError(Encoder& enc, const Status& error);
 Status DecodeWorkerError(const std::vector<uint8_t>& payload);
 
+/// Poll cadence of every coordinator and worker-host await loop: poll
+/// every kAwaitPollUs for kAwaitIdleSpins empty polls, then back off to
+/// kAwaitIdlePollUs until the next frame resets the spin budget. Snappy
+/// while traffic flows (sub-millisecond inproc rounds), cheap once idle,
+/// so n waiting workers do not burn n cores.
+inline constexpr uint32_t kAwaitPollUs = 50;
+inline constexpr uint32_t kAwaitIdleSpins = 40;
+inline constexpr uint32_t kAwaitIdlePollUs = 1000;
+
+/// One idle step of that cadence: sleeps and advances *idle. Callers
+/// reset *idle to 0 on every frame they receive.
+void IdleBackoff(uint32_t* idle);
+
 /// In-process worker threads for backends without endpoint processes
 /// (inproc): rank r's worker is a thread of the engine process speaking
 /// the exact same protocol over the transport. RAII: construction spawns
 /// (when `enable`), destruction stops and joins.
 class InThreadWorkers {
  public:
-  /// Poll cadence while hot / spins before backing off / cadence once
-  /// idle. Defaults match the engine's await loops (EngineTimingOptions in
-  /// core/engine.h); the engine passes its configured knobs through.
-  InThreadWorkers(Transport* world, uint32_t num_workers, bool enable,
-                  uint32_t poll_us = 50, uint32_t idle_spins = 40,
-                  uint32_t idle_poll_us = 1000);
+  InThreadWorkers(Transport* world, uint32_t num_workers, bool enable);
   ~InThreadWorkers();
 
   InThreadWorkers(const InThreadWorkers&) = delete;
@@ -647,9 +655,6 @@ class InThreadWorkers {
   void Loop(Transport* world, uint32_t rank);
 
   std::atomic<bool> stop_{false};
-  uint32_t poll_us_;
-  uint32_t idle_spins_;
-  uint32_t idle_poll_us_;
   std::vector<std::thread> threads_;
 };
 

@@ -10,7 +10,6 @@
 #include "core/parallel.h"
 #include "gtest/gtest.h"
 #include "rt/comm_world.h"
-#include "util/barrier.h"
 #include "util/bitset.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -117,46 +116,6 @@ TEST(ThreadPoolTest, DestructionRunsQueuedWork) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(BarrierTest, SynchronizesPhases) {
-  constexpr size_t kThreads = 8;
-  constexpr int kRounds = 50;
-  Barrier barrier(kThreads);
-  std::atomic<int> phase_count{0};
-  std::atomic<bool> violation{false};
-
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        phase_count++;
-        barrier.Wait();
-        // After the barrier every thread of round r has incremented.
-        if (phase_count.load() < (r + 1) * static_cast<int>(kThreads)) {
-          violation = true;
-        }
-        barrier.Wait();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violation.load());
-  EXPECT_EQ(phase_count.load(), kRounds * static_cast<int>(kThreads));
-}
-
-TEST(BarrierTest, ExactlyOneSerialThread) {
-  constexpr size_t kThreads = 6;
-  Barrier barrier(kThreads);
-  std::atomic<int> serial{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      if (barrier.Wait()) serial++;
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(serial.load(), 1);
 }
 
 TEST(CommWorldTest, PointToPointDelivery) {

@@ -12,7 +12,11 @@
 //     RunIncremental answers bit-identical to a from-scratch recompute
 //     after EVERY batch, for {sssp, cc} x {inproc, socket, tcp} x
 //     {coordinator-loaded, distributed-loaded}, with a deletion batch
-//     that must trip the enforced fallback on every cell.
+//     that must trip the enforced fallback on every cell. Every entry
+//     point's metrics are pinned along the way (rounds, messages, and
+//     per-worker PEval/IncEval counts), and a RunIncremental for a query
+//     other than the session's must fall back rather than answer the old
+//     query.
 
 #include <unistd.h>
 
@@ -264,6 +268,36 @@ std::vector<MutationBatch> GateBatches() {
   return batches;
 }
 
+/// The per-entry-point metrics contract: one RoundMetrics per superstep,
+/// whose messages sum to the run's total, and one PEval/IncEval ack per
+/// worker and superstep. A full run (Run, SessionRun, a fallback) opens
+/// with PEval; the bounded delta opens with IncEval and neither loads nor
+/// runs PEval.
+void ExpectEntryPointMetrics(const EngineMetrics& m, uint32_t workers,
+                             bool bounded_delta) {
+  ASSERT_EQ(m.rounds.size(), m.supersteps);
+  uint64_t round_messages = 0;
+  for (const RoundMetrics& r : m.rounds) round_messages += r.messages;
+  EXPECT_EQ(round_messages, m.messages);
+  ASSERT_EQ(m.remote_peval_runs.size(), workers);
+  ASSERT_EQ(m.remote_inceval_runs.size(), workers);
+  uint64_t pevals = 0;
+  uint64_t incevals = 0;
+  for (uint32_t i = 0; i < workers; ++i) {
+    pevals += m.remote_peval_runs[i];
+    incevals += m.remote_inceval_runs[i];
+  }
+  if (bounded_delta) {
+    EXPECT_EQ(pevals, 0u);
+    EXPECT_EQ(incevals, uint64_t{workers} * m.supersteps);
+    EXPECT_EQ(m.load_seconds, 0.0);
+    EXPECT_EQ(m.peval_seconds, 0.0);
+  } else {
+    EXPECT_EQ(pevals, workers);
+    EXPECT_EQ(incevals, uint64_t{workers} * (m.supersteps - 1));
+  }
+}
+
 template <typename App, typename Query, typename GetVec>
 void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
   RegisterBuiltinWorkerApps();
@@ -300,6 +334,10 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
 
   auto base = engine->SessionRun(query);
   ASSERT_TRUE(base.ok()) << base.status();
+  {
+    SCOPED_TRACE("SessionRun");
+    ExpectEntryPointMetrics(engine->metrics(), 3, /*bounded_delta=*/false);
+  }
 
   // Graph is move-only: regenerate the reference copy (same seed).
   auto current_r = GenerateGridRoad(12, 12, 77);
@@ -319,6 +357,11 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     ASSERT_TRUE(inc.ok()) << "batch " << bi << ": " << inc.status();
     EXPECT_EQ(engine->metrics().incremental_fallback, m.has_deletions())
         << "batch " << bi;
+    {
+      SCOPED_TRACE("RunIncremental batch " + std::to_string(bi));
+      ExpectEntryPointMetrics(engine->metrics(), 3,
+                              /*bounded_delta=*/!m.has_deletions());
+    }
 
     // The differential gate: bit-identical to a from-scratch recompute
     // of the mutated graph.
@@ -328,6 +371,19 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     auto full = ref.Run(query);
     ASSERT_TRUE(full.ok()) << full.status();
     EXPECT_TRUE(BitEq(get(*inc), get(*full))) << "batch " << bi;
+  }
+
+  // A batch Run retires the session and reloads the mutated fragments.
+  FragmentedGraph ref_fg = MakeFragments(current, "hash", 3);
+  GrapeEngine<App> ref(ref_fg, App{});
+  auto full = ref.Run(query);
+  ASSERT_TRUE(full.ok()) << full.status();
+  auto run = engine->Run(query);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(BitEq(get(*run), get(*full)));
+  {
+    SCOPED_TRACE("Run");
+    ExpectEntryPointMetrics(engine->metrics(), 3, /*bounded_delta=*/false);
   }
   engine->EndSession();
   if (!path.empty()) {
@@ -352,6 +408,62 @@ TEST_P(MutationRemoteGateTest, IncrementalBitIdenticalToRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, MutationRemoteGateTest,
                          ::testing::ValuesIn(AllRemoteGateCases()), CaseName);
+
+// RunIncremental re-answers the session's last query, and the delta frame
+// carries only the touched vertices. A different query must not ride that
+// warm state: it takes the enforced fallback (a full SessionRun of the
+// query asked, flagged), after which the same query is the session's and
+// the next batch takes the bounded delta again.
+class MutationQueryMismatchTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MutationQueryMismatchTest, OtherQueryTakesFallback) {
+  RegisterBuiltinWorkerApps();
+  auto g0 = GenerateGridRoad(12, 12, 77);
+  ASSERT_TRUE(g0.ok());
+  FragmentedGraph fg = MakeFragments(*g0, "hash", 3);
+  auto world = MakeTransport(GetParam(), 4);
+  ASSERT_TRUE(world.ok()) << world.status();
+  EngineOptions eo;
+  eo.transport = world->get();
+  eo.remote_app = "sssp";
+  GrapeEngine<SsspApp> engine(fg, SsspApp{}, eo);
+  ASSERT_TRUE(engine.SessionRun(SsspQuery{0}).ok());
+
+  Graph current = std::move(*g0);
+  const std::vector<MutationBatch> batches = GateBatches();
+  for (size_t bi = 0; bi < 2; ++bi) {
+    const MutationBatch& m = batches[bi];
+    ASSERT_FALSE(m.has_deletions());
+    ASSERT_OK(FragmentBuilder::MutateFragmentedGraph(&fg, m));
+    ASSERT_OK(engine.ApplyMutations(m).status());
+    auto inc = engine.RunIncremental(SsspQuery{77}, m);
+    ASSERT_TRUE(inc.ok()) << "batch " << bi << ": " << inc.status();
+    const bool mismatched = bi == 0;  // the session last answered source 0
+    EXPECT_EQ(engine.metrics().incremental_fallback, mismatched)
+        << "batch " << bi;
+    {
+      SCOPED_TRACE("batch " + std::to_string(bi));
+      ExpectEntryPointMetrics(engine.metrics(), 3,
+                              /*bounded_delta=*/!mismatched);
+    }
+
+    ASSERT_OK_AND_ASSIGN(current, ApplyMutations(current, m));
+    FragmentedGraph ref_fg = MakeFragments(current, "hash", 3);
+    GrapeEngine<SsspApp> ref(ref_fg, SsspApp{});
+    auto full = ref.Run(SsspQuery{77});
+    ASSERT_TRUE(full.ok()) << full.status();
+    EXPECT_TRUE(BitEq(inc->dist, full->dist)) << "batch " << bi;
+  }
+  engine.EndSession();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, MutationQueryMismatchTest,
+    ::testing::Values("inproc", "socket"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // Guard-rail: the mutation API stays session-scoped — using it without a
 // live session is an error, not a crash or a silent local mutation.
