@@ -89,8 +89,13 @@ class WidestPathApp {
     return out;
   }
 
+  // Monotone max: the engine stops at the fixed point, so no early exit.
+  // The hook is static because the coordinator evaluates it alone, from
+  // the query, the round and the summed GlobalValue.
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t, double) const { return false; }
+  static bool ShouldTerminate(const QueryType&, uint32_t, double) {
+    return false;
+  }
 
  private:
   static void Grow(const Fragment& frag, ParamStore<double>& params,

@@ -66,9 +66,7 @@ class CfApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return last_epoch_sse_; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
+  static bool ShouldTerminate(const QueryType&, uint32_t, double) {
     return false;
   }
 

@@ -5,9 +5,8 @@
 
 namespace grape {
 
-void PageRankApp::PEval(const QueryType& query, const Fragment& frag,
+void PageRankApp::PEval(const QueryType&, const Fragment& frag,
                         ParamStore<double>& params) {
-  query_ = query;
   const double n = static_cast<double>(frag.total_num_vertices());
   rank_.assign(frag.num_inner(), 1.0 / n);
   delta_ = 1.0;  // force at least one iteration
@@ -46,10 +45,9 @@ void PageRankApp::IncEval(const QueryType& query, const Fragment& frag,
   }
 }
 
-void PageRankApp::ParallelPEval(const QueryType& query, const Fragment& frag,
+void PageRankApp::ParallelPEval(const QueryType&, const Fragment& frag,
                                 ParamStore<double>& params,
                                 const ParallelContext& par) {
-  query_ = query;
   const double n = static_cast<double>(frag.total_num_vertices());
   rank_.assign(frag.num_inner(), 1.0 / n);
   delta_ = 1.0;  // force at least one iteration

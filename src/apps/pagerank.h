@@ -17,8 +17,7 @@ struct PageRankQuery {
   /// Stop once the global L1 delta of the rank vector drops below epsilon.
   double epsilon = 1e-9;
 
-  // Wire codec: lets the query ship to remote worker hosts (whose
-  // ShouldTerminate hook reads max_iterations/epsilon).
+  // Wire codec: lets the query ship to remote worker hosts.
   void EncodeTo(Encoder& enc) const {
     enc.WriteDouble(damping);
     enc.WriteU32(max_iterations);
@@ -36,10 +35,10 @@ struct PageRankOutput {
 };
 
 /// PIE program for PageRank. Unlike SSSP/CC this computation is *not*
-/// monotonic, so it terminates through the ShouldTerminate hook (coordinator
-/// checks the summed L1 delta) rather than the fixed-point-of-parameters
-/// rule — demonstrating that GRAPE also hosts iterative numeric algorithms
-/// (the Simulation Theorem direction).
+/// monotonic, so it terminates through the ShouldTerminate hook (the
+/// coordinator checks the summed L1 delta) rather than the
+/// fixed-point-of-parameters rule — demonstrating that GRAPE also hosts
+/// iterative numeric algorithms (the Simulation Theorem direction).
 ///
 ///   Update parameter of v: its out-contribution c(v) = rank(v)/outdeg(v).
 ///   PEval broadcasts initial contributions of border vertices to mirrors;
@@ -83,27 +82,25 @@ class PageRankApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return delta_; }
-  bool ShouldTerminate(uint32_t round, double global) const {
+  static bool ShouldTerminate(const QueryType& query, uint32_t round,
+                              double global) {
     if (round < 2) return false;  // at least one rank update
-    return global < query_.epsilon || round >= query_.max_iterations + 1;
+    return global < query.epsilon || round >= query.max_iterations + 1;
   }
 
   // Checkpoint hooks (CheckpointableApp): PageRank keeps the rank vector
   // and residual outside the ParamStore, so fault-tolerant recovery must
   // capture them or a resumed run would restart the power iteration.
   void EncodeState(Encoder& enc) const {
-    query_.EncodeTo(enc);
     enc.WritePodVector(rank_);
     enc.WriteDouble(delta_);
   }
   Status DecodeState(Decoder& dec) {
-    GRAPE_RETURN_NOT_OK(PageRankQuery::DecodeFrom(dec, &query_));
     GRAPE_RETURN_NOT_OK(dec.ReadPodVector(&rank_));
     return dec.ReadDouble(&delta_);
   }
 
  private:
-  QueryType query_;
   std::vector<double> rank_;  // by inner lid
   double delta_ = 0.0;
   // Frontier-parallel scratch (not state: rebuilt every round, never

@@ -62,9 +62,7 @@ class SubIsoApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
+  static bool ShouldTerminate(const QueryType&, uint32_t, double) {
     return false;
   }
 

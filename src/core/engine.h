@@ -832,7 +832,7 @@ class GrapeEngine {
       double global = 0;
       for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
       if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
+      if (App::ShouldTerminate(query, metrics_.supersteps, global)) break;
 
       uint64_t routed = 0;
       {
@@ -1141,12 +1141,9 @@ class GrapeEngine {
     while (metrics_.supersteps < options_.max_supersteps) {
       const double global = round.GlobalSum();
       if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      // apps_[0]'s termination hook lives in worker rank 1 now; one
-      // control round-trip evaluates it against the summed global.
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
+      // The coordinator decides termination (Sec. 2.2(3)): the hook reads
+      // only the query and the globals the acks already carried.
+      if (App::ShouldTerminate(query, metrics_.supersteps, global)) break;
 
       uint64_t routed = 0;
       std::vector<uint32_t> apply_counts;
@@ -1487,7 +1484,7 @@ class GrapeEngine {
             remote_inbox_.push_back(std::move(msg));
             return false;
           }
-          // Stale vote/partial after a duplicated control frame: ignore.
+          // Stale partial after a duplicated control frame: ignore.
           if (msg.tag != kTagWkAck) return false;
           Decoder dec(msg.payload);
           WorkerAck ack;
@@ -1525,32 +1522,6 @@ class GrapeEngine {
         });
   }
 
-  Result<bool> RemoteCheckTerminate(uint32_t round, double global) {
-    Encoder enc(world_->buffer_pool().Acquire());
-    enc.WriteU32(round);
-    enc.WriteDouble(global);
-    GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(0),
-                                     kTagWkCheckTerm, enc.TakeBuffer()));
-    bool vote = false;
-    GRAPE_RETURN_NOT_OK(AwaitFrames(
-        "termination vote", 1,
-        [&](RtMessage& msg, bool fresh) -> Result<bool> {
-          if (msg.tag == kTagWkData) {
-            remote_inbox_.push_back(std::move(msg));
-            return false;
-          }
-          if (msg.tag != kTagWkVote || !fresh) return false;
-          Decoder dec(msg.payload);
-          uint32_t vote_round = 0;
-          GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
-          GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
-          // A duplicated CheckTerm (flaky substrate) leaves a stale vote
-          // for an earlier round behind; only this round's verdict counts.
-          return vote_round == round;
-        }));
-    return vote;
-  }
-
   /// The coordinator's one wait, behind every remote phase: pulls rank-0
   /// frames until `want` workers have answered. `on_frame(msg, fresh)`
   /// sees every frame except a worker error — `fresh` says the sender is
@@ -1558,27 +1529,28 @@ class GrapeEngine {
   /// the frame was that fresh worker's answer. It may keep the message
   /// (moving it out); whatever payload it leaves is released to the pool.
   /// A kTagWkError from any worker ends the wait with that worker's
-  /// status. Never blocks in Recv: a dead endpoint or a dropped control
-  /// frame must surface as a Status within bounded time, not hang the
+  /// status. Each wait is a RecvUntil that a frame ends at once; it never
+  /// outlasts kAwaitRecheck, so a dead endpoint or a dropped control frame
+  /// surfaces as a Status within bounded time instead of hanging the
   /// superstep loop.
   template <typename OnFrame>
   Status AwaitFrames(const char* what, FragmentId want, OnFrame on_frame) {
     const FragmentId n = n_frags_;
     std::vector<uint8_t> answered(n, 0);
     FragmentId have = 0;
-    uint32_t idle = 0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(options_.remote_timeout_ms);
     while (have < want) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
+      std::optional<RtMessage> msg = world_->RecvUntil(
+          kCoordinatorRank,
+          std::min(deadline, std::chrono::steady_clock::now() + kAwaitRecheck));
       if (!msg) {
-        GRAPE_RETURN_NOT_OK(CheckRemoteLiveness(deadline, what, &idle));
+        GRAPE_RETURN_NOT_OK(CheckRemoteLiveness(deadline, what));
         continue;
       }
-      idle = 0;
       const uint32_t from = msg->from;
       const bool worker = from >= 1 && from <= n;
-      // Any frame from a worker — data, ack, vote, pong — is proof of
+      // Any frame from a worker — data, ack, pong — is proof of
       // life for the lease monitor (pongs then fall to the stale branch).
       if (worker) monitor_.Heard(from - 1);
       if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
@@ -1594,28 +1566,23 @@ class GrapeEngine {
     return Status::OK();
   }
 
-  /// The await loop's idle step: fail fast on a dead transport (a killed
-  /// endpoint marks it unhealthy within its bounded detection time), fail
-  /// with Unavailable past the per-phase deadline (a dropped control
-  /// frame on a flaky-but-alive substrate), otherwise yield. The yield
-  /// backs off adaptively (IdleBackoff, rt/remote_worker.h) — fast polls
-  /// while a phase is actively completing (sub-millisecond inproc rounds
-  /// stay snappy), the idle cadence once the wait is clearly
-  /// compute-bound — so a long remote PEval does not burn an engine core
-  /// on TryRecv polling. Callers reset *idle on every received frame.
-  /// Under a CheckpointPolicy the step also runs the failure detector:
-  /// leases that expired get a ping (a control frame invisible to
-  /// CommStats), and the pid probe turns a SIGKILLed local endpoint into
-  /// Unavailable within one poll instead of waiting out the phase
-  /// deadline.
+  /// What the await loop checks when a wait ends without a frame: fail
+  /// fast on a dead transport (a killed endpoint marks it unhealthy within
+  /// its bounded detection time), fail with Unavailable past the
+  /// per-phase deadline (a dropped control frame on a flaky-but-alive
+  /// substrate). Under a CheckpointPolicy it also runs the failure
+  /// detector: leases that expired get a ping (a control frame invisible
+  /// to CommStats), and the pid probe turns a SIGKILLed local endpoint
+  /// into Unavailable within kAwaitRecheck instead of waiting out the
+  /// phase deadline.
   Status CheckRemoteLiveness(
       const std::chrono::steady_clock::time_point& deadline,
-      const char* what, uint32_t* idle) {
+      const char* what) {
     if (!world_->healthy()) {
       return Status::Unavailable(
           std::string("transport died while awaiting remote ") + what);
     }
-    if (std::chrono::steady_clock::now() > deadline) {
+    if (std::chrono::steady_clock::now() >= deadline) {
       return Status::Unavailable(
           std::string("timed out awaiting remote ") + what + " after " +
           std::to_string(options_.remote_timeout_ms) + "ms");
@@ -1630,7 +1597,6 @@ class GrapeEngine {
       }
       GRAPE_RETURN_NOT_OK(monitor_.Check());
     }
-    IdleBackoff(idle);
     return Status::OK();
   }
 

@@ -64,9 +64,13 @@ struct ParamUpdate {
 //
 //   // Optional extras for non-monotonic computations: a per-worker scalar
 //   // contribution summed by the coordinator each round, and a termination
-//   // override evaluated on the sum (e.g. PageRank's L1 delta).
+//   // override evaluated on the sum (e.g. PageRank's L1 delta). The hook
+//   // is static and sees only the query, the round and the sum: the
+//   // coordinator P0 decides termination (Sec. 2.2(3)) without asking any
+//   // worker, so a remote superstep costs one round-trip.
 //   double GlobalValue() const;
-//   bool ShouldTerminate(uint32_t round, double global) const;
+//   static bool ShouldTerminate(const QueryType&, uint32_t round,
+//                               double global);
 //
 // The engine (core/engine.h) evaluates the simultaneous fixed point
 //   R_i^0     = PEval(Q, F_i),
@@ -95,7 +99,7 @@ concept PIEProgram = requires(App app, const App capp,
   { capp.GetPartial(q, frag, params) } ->
       std::convertible_to<typename App::PartialType>;
   { capp.GlobalValue() } -> std::convertible_to<double>;
-  { capp.ShouldTerminate(uint32_t{}, double{}) } ->
+  { App::ShouldTerminate(q, uint32_t{}, double{}) } ->
       std::convertible_to<bool>;
 };
 

@@ -23,23 +23,6 @@ std::atomic<uint64_t>& TokenCounter() {
   return counter;
 }
 
-/// One coordinator await step (mirrors the engine's CheckRemoteLiveness):
-/// fail fast on a dead transport, Unavailable past the deadline,
-/// otherwise yield with the shared await cadence (IdleBackoff).
-Status AwaitStep(Transport* world,
-                 const std::chrono::steady_clock::time_point& deadline,
-                 const char* what, uint32_t* idle) {
-  if (!world->healthy()) {
-    return Status::Unavailable(
-        std::string("transport died while awaiting ") + what);
-  }
-  if (std::chrono::steady_clock::now() > deadline) {
-    return Status::Unavailable(std::string("timed out awaiting ") + what);
-  }
-  IdleBackoff(idle);
-  return Status::OK();
-}
-
 /// Collects one `want_tag` frame from every worker rank, invoking
 /// `on_frame(fragment, decoder)` for each. Errors (kTagWkError) abort;
 /// edge- or mirror-bearing frames addressed to rank 0 are a protocol
@@ -50,16 +33,22 @@ Status AwaitFromAllWorkers(Transport* world, uint32_t n, uint32_t want_tag,
                            uint64_t* data_frames, OnFrame on_frame) {
   std::vector<uint8_t> seen(n, 0);
   uint32_t have = 0;
-  uint32_t idle = 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (have < n) {
-    std::optional<RtMessage> msg = world->TryRecv(kCoordinatorRank);
+    // Nothing but a frame, a dead world or the deadline can end this
+    // wait, and all three wake it: no re-check bound is needed.
+    std::optional<RtMessage> msg = world->RecvUntil(kCoordinatorRank, deadline);
     if (!msg) {
-      GRAPE_RETURN_NOT_OK(AwaitStep(world, deadline, what, &idle));
+      if (!world->healthy()) {
+        return Status::Unavailable(
+            std::string("transport died while awaiting ") + what);
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        return Status::Unavailable(std::string("timed out awaiting ") + what);
+      }
       continue;
     }
-    idle = 0;
     if (msg->tag == kTagWkError) {
       return DecodeWorkerError(msg->payload);
     }

@@ -1,6 +1,8 @@
 #ifndef GRAPE_RT_FLAKY_TRANSPORT_H_
 #define GRAPE_RT_FLAKY_TRANSPORT_H_
 
+#include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -147,6 +149,22 @@ class FlakyTransport final : public Transport {
     return inner_->TryRecv(rank, tag);
   }
   Result<RtMessage> Recv(uint32_t rank) override { return inner_->Recv(rank); }
+  /// Forwards the wait in kAwaitRecheck slices: an injected death flips
+  /// killed_ without waking the inner mailbox, so a waiter re-checks it
+  /// between slices and returns empty-handed (healthy() is then false)
+  /// instead of sleeping to its deadline against a dead world.
+  std::optional<RtMessage> RecvUntil(
+      uint32_t rank, std::chrono::steady_clock::time_point deadline) override {
+    for (;;) {
+      const auto now = std::chrono::steady_clock::now();
+      std::optional<RtMessage> msg =
+          inner_->RecvUntil(rank, std::min(deadline, now + kAwaitRecheck));
+      if (msg || !healthy() ||
+          std::chrono::steady_clock::now() >= deadline) {
+        return msg;
+      }
+    }
+  }
   std::vector<RtMessage> DrainAll(uint32_t rank) override {
     return inner_->DrainAll(rank);
   }

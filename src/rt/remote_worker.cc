@@ -889,26 +889,6 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       inc_pending_ = true;
       return MaybeRunIncEval();
     }
-    case kTagWkCheckTerm: {
-      Decoder dec(payload);
-      uint32_t round = 0;
-      double global = 0;
-      Status s = dec.ReadU32(&round);
-      if (s.ok()) s = dec.ReadDouble(&global);
-      pool_->Release(std::move(payload));
-      if (!s.ok()) return EmitError(s);
-      if (server_ == nullptr) {
-        return EmitError(Status::FailedPrecondition(
-            "CheckTerm before a successful load"));
-      }
-      Encoder enc(pool_->Acquire());
-      // Echo the round: a duplicated CheckTerm leaves a second vote in
-      // the engine's mailbox, and an untagged stale vote would answer
-      // the NEXT round's check with the previous round's verdict.
-      enc.WriteU32(round);
-      enc.WriteBool(server_->ShouldTerminate(round, global));
-      return emit_(kCoordinatorRank, kTagWkVote, enc.TakeBuffer());
-    }
     case kTagWkGetPartial: {
       pool_->Release(std::move(payload));
       if (server_ == nullptr) {
@@ -970,15 +950,6 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
   }
 }
 
-void IdleBackoff(uint32_t* idle) {
-  if (*idle < kAwaitIdleSpins) {
-    ++*idle;
-    std::this_thread::sleep_for(std::chrono::microseconds(kAwaitPollUs));
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(kAwaitIdlePollUs));
-  }
-}
-
 // -------------------------------------------------------- in-thread hosts
 
 InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers,
@@ -1004,19 +975,18 @@ void InThreadWorkers::Loop(Transport* world, uint32_t rank) {
         return world->Send(rank, to, tag, std::move(payload));
       },
       &world->buffer_pool());
-  uint32_t idle = 0;
   for (;;) {
-    std::optional<RtMessage> msg = world->TryRecv(rank);
+    std::optional<RtMessage> msg = world->RecvUntil(
+        rank, std::chrono::steady_clock::now() + kAwaitRecheck);
     if (!msg) {
       // Drain-then-stop: only exit on the stop flag once the mailbox is
       // empty, so a shutdown frame sent just before our destructor is
       // consumed now instead of greeting (and instantly killing) the
-      // next run's worker thread.
+      // next run's worker thread. Nothing wakes the wait for the flag;
+      // it is seen within kAwaitRecheck.
       if (stop_.load(std::memory_order_acquire) || !world->healthy()) break;
-      IdleBackoff(&idle);  // the engine's await cadence
       continue;
     }
-    idle = 0;
     if (!IsWorkerTag(msg->tag)) continue;  // stray frame; not ours
     if (!host.OnFrame(msg->from, msg->tag, std::move(msg->payload)).ok()) {
       break;  // the world is gone; nothing left to serve

@@ -95,7 +95,6 @@ class WorkerAppServerBase {
   virtual Status IncEval(bool incremental, BufferPool& pool,
                          WorkerPhaseOutput* out) = 0;
   virtual Status EncodePartial(Encoder& enc) const = 0;
-  virtual bool ShouldTerminate(uint32_t round, double global) const = 0;
   virtual uint32_t num_fragments() const = 0;
 
   /// Serializes everything a respawned worker needs to resume this one's
@@ -240,10 +239,6 @@ class WorkerServer final : public WorkerAppServerBase {
   Status EncodePartial(Encoder& enc) const override {
     EncodeValue(enc, core_->GetPartial(query_));
     return Status::OK();
-  }
-
-  bool ShouldTerminate(uint32_t round, double global) const override {
-    return core_->ShouldTerminate(round, global);
   }
 
   uint32_t num_fragments() const override {
@@ -625,19 +620,6 @@ class RemoteWorkerHost {
 /// Encodes/decodes the kTagWkError payload.
 void EncodeWorkerError(Encoder& enc, const Status& error);
 Status DecodeWorkerError(const std::vector<uint8_t>& payload);
-
-/// Poll cadence of every coordinator and worker-host await loop: poll
-/// every kAwaitPollUs for kAwaitIdleSpins empty polls, then back off to
-/// kAwaitIdlePollUs until the next frame resets the spin budget. Snappy
-/// while traffic flows (sub-millisecond inproc rounds), cheap once idle,
-/// so n waiting workers do not burn n cores.
-inline constexpr uint32_t kAwaitPollUs = 50;
-inline constexpr uint32_t kAwaitIdleSpins = 40;
-inline constexpr uint32_t kAwaitIdlePollUs = 1000;
-
-/// One idle step of that cadence: sleeps and advances *idle. Callers
-/// reset *idle to 0 on every frame they receive.
-void IdleBackoff(uint32_t* idle);
 
 /// In-process worker threads for backends without endpoint processes
 /// (inproc): rank r's worker is a thread of the engine process speaking

@@ -69,6 +69,18 @@ Result<RtMessage> MailboxTransport::Recv(uint32_t rank) {
   return msg;
 }
 
+std::optional<RtMessage> MailboxTransport::RecvUntil(
+    uint32_t rank, std::chrono::steady_clock::time_point deadline) {
+  Mailbox& box = *mailboxes_[rank];
+  std::unique_lock<std::mutex> lock(box.mu);
+  box.cv.wait_until(lock, deadline,
+                    [&box, this] { return !box.queue.empty() || closed(); });
+  if (box.queue.empty()) return std::nullopt;
+  RtMessage msg = std::move(box.queue.front());
+  box.queue.pop_front();
+  return msg;
+}
+
 std::vector<RtMessage> MailboxTransport::DrainAll(uint32_t rank) {
   Mailbox& box = *mailboxes_[rank];
   std::lock_guard<std::mutex> lock(box.mu);

@@ -2,6 +2,7 @@
 #define GRAPE_RT_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,8 +50,10 @@ struct CommStats {
 ///    backend-agnostic (the engine flushes between supersteps).
 ///  * TryRecv/DrainAll never block. Recv blocks until a message arrives or
 ///    the transport is closed, in which case it returns a Cancelled status
-///    instead of hanging forever.
-///  * Close() is idempotent, wakes every blocked Recv with Cancelled, and
+///    instead of hanging forever. RecvUntil blocks the same way but also
+///    gives up at a deadline: it returns as soon as a message is there,
+///    never later for having waited.
+///  * Close() is idempotent, wakes every blocked Recv and RecvUntil, and
 ///    fails subsequent Sends with Cancelled. Messages already delivered
 ///    remain drainable after Close.
 ///  * stats() counts at Send time: +1 message, +payload+16 bytes.
@@ -76,6 +79,15 @@ class Transport {
   /// mailbox is empty.
   virtual Result<RtMessage> Recv(uint32_t rank) = 0;
 
+  /// Blocking receive with a deadline: the oldest message for `rank`,
+  /// waiting for one to arrive until `deadline`. std::nullopt when the
+  /// deadline passes with the mailbox empty, or earlier once the transport
+  /// is closed (or broken) and the mailbox is empty; callers tell the two
+  /// apart through healthy(). Every await loop waits here, so a frame
+  /// wakes its receiver instead of being found by a later poll.
+  virtual std::optional<RtMessage> RecvUntil(
+      uint32_t rank, std::chrono::steady_clock::time_point deadline) = 0;
+
   /// Drains every pending message for `rank`, in delivery order.
   virtual std::vector<RtMessage> DrainAll(uint32_t rank) = 0;
 
@@ -91,9 +103,9 @@ class Transport {
   virtual void Close() = 0;
 
   /// False once the transport is closed or broken (an endpoint died).
-  /// Pollers that cannot block in Recv — the engine's remote-compute
-  /// await loop, in-thread worker hosts — use this to stop promptly
-  /// instead of waiting out a timeout against a dead world.
+  /// Waiters that RecvUntil returned empty-handed — the engine's
+  /// remote-compute await loop, in-thread worker hosts — use this to stop
+  /// promptly instead of waiting out a timeout against a dead world.
   virtual bool healthy() const { return true; }
 
   /// True when ranks are backed by endpoint OS processes that host
@@ -146,6 +158,8 @@ class MailboxTransport : public Transport {
   std::optional<RtMessage> TryRecv(uint32_t rank) override;
   std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override;
   Result<RtMessage> Recv(uint32_t rank) override;
+  std::optional<RtMessage> RecvUntil(
+      uint32_t rank, std::chrono::steady_clock::time_point deadline) override;
   std::vector<RtMessage> DrainAll(uint32_t rank) override;
   size_t PendingCount(uint32_t rank) const override;
 
@@ -178,7 +192,7 @@ class MailboxTransport : public Transport {
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Marks the transport closed and wakes every blocked Recv. Returns
+  /// Marks the transport closed and wakes every blocked receiver. Returns
   /// false when another caller already closed it (for idempotent Close).
   bool MarkClosed();
 
@@ -204,6 +218,12 @@ class MailboxTransport : public Transport {
   std::atomic<uint64_t> total_messages_{0};
   std::atomic<uint64_t> total_bytes_{0};
 };
+
+/// Longest an await loop sleeps in one RecvUntil before it re-checks what
+/// no frame announces: a stop flag, worker leases and the pid probe, an
+/// injected fault. A frame never waits on it — RecvUntil returns the
+/// moment one is delivered — so it bounds only how late those checks run.
+inline constexpr std::chrono::milliseconds kAwaitRecheck{10};
 
 /// Builds a transport backend by name: "inproc" (CommWorld, the default
 /// single-process world), "socket" (forked relay processes exchanging

@@ -33,8 +33,8 @@ namespace grape {
 //                        ◀─ kTagWkData (param updates for rank 0)
 //                        ◀─ kTagWkDirect (owner→mirror refreshes, to peers)
 //                        ◀─ kTagWkAck (phase=peval: dirty/global/sent...)
-//   kTagWkCheckTerm {round, global} ───▶ apps_[0]'s ShouldTerminate hook
-//                        ◀─ kTagWkVote
+//   (the engine decides termination itself from the acks' globals: the
+//    app's ShouldTerminate hook reads only the query, so no frame asks)
 //   kTagWkApply {consolidated batch} ──▶ buffered until the matching run
 //   kTagWkRunIncEval {round, expect} ──▶ apply buffered batches, IncEval,
 //                                        flush (as above)
@@ -68,7 +68,8 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkRunIncEval = 0x103,
   kTagWkGetPartial = 0x104,
   kTagWkShutdown = 0x105,
-  kTagWkCheckTerm = 0x106,
+  // 0x106 retired: the CheckTerm request, from when worker rank 1 voted
+  // on termination. Never reuse it; a worker rejects it as unknown.
   // engine -> worker, the coordinator's consolidated parameter batch.
   // Stats-counted: it replaces the kTagParamUpdate frame of local mode.
   kTagWkApply = 0x107,
@@ -76,7 +77,7 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkAck = 0x108,      // phase completion + per-phase counters
   kTagWkData = 0x109,     // owner-bound updates for the coordinator
   kTagWkDirect = 0x10a,   // owner-to-mirror refresh, worker to worker
-  kTagWkVote = 0x10b,     // ShouldTerminate verdict
+  // 0x10b retired: the termination vote (see 0x106).
   kTagWkPartial = 0x10c,  // encoded partial answer
   kTagWkError = 0x10d,    // worker-side failure, payload = message
 

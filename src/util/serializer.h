@@ -168,7 +168,9 @@ class Decoder {
       return Status::Corruption("vector extends past end of buffer");
     }
     out->resize(n);
-    std::memcpy(out->data(), data_ + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be, even for a zero-length copy.
+    if (n > 0) std::memcpy(out->data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return Status::OK();
   }
@@ -182,7 +184,7 @@ class Decoder {
     if (n > Remaining()) {
       return Status::Corruption("read past end of buffer");
     }
-    std::memcpy(out, data_ + pos_, n);
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
   }

@@ -250,6 +250,76 @@ TEST(MessagePathGoldenTest, BackendsAndPlacementsAgreeBitForBit) {
   }
 }
 
+// The coordinator decides termination from the query and the summed
+// globals the acks carry. PageRank is the app whose hook stops a run before
+// its fixed point: remote runs — a batch Run and a session's SessionRun,
+// over inproc and socket — must stop on the superstep a local run stops
+// on, under the epsilon rule and under the iteration cap alike, with every
+// per-round global, counter and output bit unchanged.
+TEST(MessagePathGoldenTest, PageRankTerminationMatchesLocal) {
+  RegisterBuiltinWorkerApps();
+  Graph g = testing::ScenarioGraph("rmat");
+  FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 4);
+  struct Observed {
+    uint32_t supersteps = 0;
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+    uint64_t output_hash = 0;
+    std::vector<double> globals;
+  };
+  auto observe = [](const EngineMetrics& m, const PageRankOutput& out) {
+    Observed o{m.supersteps, m.messages, m.bytes, testing::HashVector(out.rank),
+               {}};
+    for (const RoundMetrics& r : m.rounds) o.globals.push_back(r.global);
+    return o;
+  };
+  PageRankQuery by_epsilon;
+  by_epsilon.max_iterations = 200;
+  by_epsilon.epsilon = 1e-6;
+  PageRankQuery by_cap;
+  by_cap.max_iterations = 12;
+  by_cap.epsilon = 0;
+  for (const PageRankQuery& query : {by_epsilon, by_cap}) {
+    const bool epsilon_rule = query.epsilon > 0;
+    GrapeEngine<PageRankApp> local(fg, PageRankApp{}, EngineOptions{});
+    auto local_out = local.Run(query);
+    ASSERT_TRUE(local_out.ok()) << local_out.status();
+    const Observed want = observe(local.metrics(), *local_out);
+    // Each query must stop by the rule it is meant to exercise.
+    if (epsilon_rule) {
+      ASSERT_LT(want.supersteps, query.max_iterations + 1);
+    } else {
+      ASSERT_EQ(want.supersteps, query.max_iterations + 1);
+    }
+    for (const std::string transport : {"inproc", "socket"}) {
+      auto world = MakeTransport(transport, 5);
+      ASSERT_TRUE(world.ok()) << world.status();
+      EngineOptions options;
+      options.transport = world->get();
+      options.remote_app = "pagerank";
+      GrapeEngine<PageRankApp> engine(fg, PageRankApp{}, options);
+      auto batch = engine.Run(query);
+      ASSERT_TRUE(batch.ok()) << transport << ": " << batch.status();
+      const Observed run = observe(engine.metrics(), *batch);
+      auto served = engine.SessionRun(query);
+      ASSERT_TRUE(served.ok()) << transport << ": " << served.status();
+      const Observed session = observe(engine.metrics(), *served);
+      engine.EndSession();
+      for (const auto& [entry, got] :
+           {std::pair{"Run", run}, std::pair{"SessionRun", session}}) {
+        const std::string where =
+            std::string(epsilon_rule ? "epsilon" : "cap") + " rule, " +
+            transport + " " + entry;
+        EXPECT_EQ(got.supersteps, want.supersteps) << where;
+        EXPECT_EQ(got.messages, want.messages) << where;
+        EXPECT_EQ(got.bytes, want.bytes) << where;
+        EXPECT_EQ(got.output_hash, want.output_hash) << where;
+        EXPECT_EQ(got.globals, want.globals) << where;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Matrix, MessagePathGoldenTest,
                          ::testing::ValuesIn(AllGoldenCases()),
                          [](const auto& info) {

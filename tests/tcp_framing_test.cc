@@ -77,9 +77,8 @@ void ExpectFramesEqual(const std::vector<RtMessage>& got,
     EXPECT_EQ(got[i].to, want[i].to) << "frame " << i;
     EXPECT_EQ(got[i].tag, want[i].tag) << "frame " << i;
     ASSERT_EQ(got[i].payload.size(), want[i].payload.size()) << "frame " << i;
-    EXPECT_EQ(std::memcmp(got[i].payload.data(), want[i].payload.data(),
-                          want[i].payload.size()),
-              0)
+    // Vector equality, not memcmp: an empty payload's data() may be null.
+    EXPECT_TRUE(got[i].payload == want[i].payload)
         << "frame " << i << " payload bytes differ";
   }
 }

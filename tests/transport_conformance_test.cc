@@ -5,10 +5,11 @@
 // contract — FIFO per channel, tag filtering, concurrent senders, large
 // and empty payloads, drain semantics, the Flush delivery barrier
 // (including barriers interleaved across ranks and racing Close),
-// TryRecv liveness under saturation, Close-wakes-receivers, and
-// backend-identical CommStats. A backend that passes here is safe to
-// plug under the engine; the end-to-end guarantee (bit-identical outputs
-// and counters) is frozen separately by tests/message_path_golden_test.cc.
+// TryRecv liveness under saturation, RecvUntil's wake-on-frame and
+// deadline, Close-wakes-receivers, and backend-identical CommStats. A
+// backend that passes here is safe to plug under the engine; the
+// end-to-end guarantee (bit-identical outputs and counters) is frozen
+// separately by tests/message_path_golden_test.cc.
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,6 +216,62 @@ TEST_P(TransportConformanceTest, CloseWakesBlockedReceiversWithCancelled) {
   for (auto& th : receivers) th.join();
   EXPECT_EQ(cancelled.load(), 3);
   EXPECT_TRUE(t->Send(0, 1, kTagControl, {1}).IsCancelled());
+}
+
+TEST_P(TransportConformanceTest, RecvUntilReturnsCrossThreadFrameEarly) {
+  auto t = Make(2);
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(20);
+  std::thread sender([&t] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ASSERT_TRUE(t->Send(0, 1, kTagControl, {42}).ok());
+    ASSERT_TRUE(t->Flush().ok());
+  });
+  std::optional<RtMessage> msg = t->RecvUntil(1, deadline);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  sender.join();
+  ASSERT_TRUE(msg.has_value()) << "frame sent during the wait was missed";
+  EXPECT_EQ(msg->from, 0u);
+  EXPECT_EQ(msg->payload, (std::vector<uint8_t>{42}));
+  // Woken by the frame, not by the deadline or a poll timer.
+  EXPECT_LT(waited, std::chrono::seconds(2));
+}
+
+TEST_P(TransportConformanceTest, RecvUntilEmptyMailboxWaitsOutTheDeadline) {
+  auto t = Make(2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(80);
+  EXPECT_FALSE(t->RecvUntil(1, deadline).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline)
+      << "RecvUntil gave up before its deadline";
+  EXPECT_TRUE(t->healthy());
+  // A pending frame is returned even when the deadline has already passed.
+  ASSERT_TRUE(t->Send(0, 1, kTagControl, {7}).ok());
+  ASSERT_TRUE(t->Flush().ok());
+  std::optional<RtMessage> msg = t->RecvUntil(1, deadline);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, (std::vector<uint8_t>{7}));
+}
+
+TEST_P(TransportConformanceTest, CloseWakesBlockedRecvUntil) {
+  auto t = Make(3);
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(20);
+  std::atomic<int> woken{0};
+  std::vector<std::thread> receivers;
+  for (uint32_t r = 0; r < 3; ++r) {
+    receivers.emplace_back([&t, &woken, deadline, r] {
+      if (!t->RecvUntil(r, deadline).has_value()) woken++;
+    });
+  }
+  // Let the receivers block, then shut down.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  t->Close();
+  for (auto& th : receivers) th.join();
+  EXPECT_EQ(woken.load(), 3);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+      << "Close left RecvUntil waiting for its deadline";
+  EXPECT_FALSE(t->healthy());
 }
 
 TEST_P(TransportConformanceTest, MessagesSurviveClose) {

@@ -443,6 +443,63 @@ TEST(TransportFaultTest, RemoteComputeSendFailureReachesRunCaller) {
   EXPECT_TRUE(out.status().IsUnavailable()) << out.status();
 }
 
+/// A world death injected on a worker's send (kill_after_frames): the
+/// coordinator is then blocked awaiting that worker's ack, and no frame
+/// will ever arrive to wake it. The wait must still notice the death, so
+/// the run fails with Unavailable long before its 60 s phase deadline.
+TEST(TransportFaultTest, InjectedDeathWakesTheBlockedCoordinator) {
+  Graph g = testing::ScenarioGraph("grid");
+  // One fragment fixes the frame order: the load command is frame 1, the
+  // worker's load ack frame 2, the PEval command frame 3 and the worker's
+  // PEval ack frame 4. Both kills below land on a worker frame.
+  FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 1);
+  for (uint64_t kill_after : {1ull, 3ull}) {
+    CommWorld inner(2);
+    FlakyOptions fo;
+    fo.kill_after_frames = kill_after;
+    FlakyTransport flaky(&inner, fo);
+    EngineOptions options;
+    options.transport = &flaky;
+    options.remote_app = "sssp";
+    options.remote_timeout_ms = 60000;
+    GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
+    const auto start = std::chrono::steady_clock::now();
+    auto out = engine.Run(SsspQuery{3});
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_FALSE(out.ok()) << "kill_after_frames=" << kill_after;
+    EXPECT_TRUE(out.status().IsUnavailable()) << out.status();
+    EXPECT_EQ(flaky.accepted(), kill_after)
+        << "the kill did not land on the worker's frame";
+    EXPECT_LT(elapsed, std::chrono::seconds(5))
+        << "kill_after_frames=" << kill_after
+        << ": the coordinator waited out its deadline against a dead world";
+  }
+}
+
+/// The injected death flips a flag and never touches the inner mailbox,
+/// so FlakyTransport::RecvUntil must notice it by itself: a receiver
+/// blocked with a distant deadline returns empty-handed soon after the
+/// kill, like a receiver on a real world whose endpoint died.
+TEST(TransportFaultTest, InjectedDeathEndsABlockedRecvUntil) {
+  CommWorld inner(2);
+  FlakyOptions fo;
+  fo.kill_after_frames = 1;
+  FlakyTransport flaky(&inner, fo);
+  ASSERT_TRUE(flaky.Send(0, 1, kTagControl, {1}).ok());
+  std::thread killer([&flaky] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(flaky.Send(1, 0, kTagControl, {2}).IsUnavailable());
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(
+      flaky.RecvUntil(0, start + std::chrono::seconds(60)).has_value());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  killer.join();
+  EXPECT_FALSE(flaky.healthy());
+  EXPECT_LT(elapsed, std::chrono::seconds(5))
+      << "RecvUntil slept toward its deadline after the injected death";
+}
+
 /// A worker endpoint SIGKILLed during a distributed graph build
 /// (rt/distributed_load.h): the coordinator's await loops must surface a
 /// Status within bounded time — never hang on the missing shard or build
