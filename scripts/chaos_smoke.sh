@@ -9,10 +9,11 @@
 # Two phases:
 #
 # 1. Deterministic differential — quickstart's 4-process tcp world (and
-#    socket) with --chaos-kill-rank: the run SIGKILLs a worker endpoint
-#    from a superstep boundary (the whole query takes milliseconds, so
-#    only an in-process kill lands mid-superstep reliably), recovers,
-#    and every printed distance must be identical to an unharmed run.
+#    socket, and a tcp world built with --load=distributed) with
+#    --chaos-kill-rank: the run SIGKILLs a worker endpoint from a
+#    superstep boundary (the whole query takes milliseconds, so only an
+#    in-process kill lands mid-superstep reliably), recovers, and every
+#    printed distance must be identical to an unharmed run.
 #
 # 2. External SIGKILL — a grape_cli SSSP sized to run for a few seconds
 #    on a tcp world, with this script delivering a real `kill -9` to a
@@ -45,39 +46,53 @@ recoveries_in() {
   echo "${n:-0}"
 }
 
-echo "== phase 1: quickstart chaos differential =="
-for backend in socket tcp; do
-  "$BIN_DIR/quickstart" --transport=$backend --compute=remote \
-    --ckpt-every=1 > "$WORK_DIR/qs_golden.out" 2>&1 || {
-      echo "FAIL: fault-free quickstart ($backend) failed" >&2
+# One quickstart differential: an unharmed run and a --chaos-kill-rank=2
+# run with the same flags must print identical distances, and the harmed
+# run must report at least one recovery.
+quickstart_differential() {
+  local label="$1"
+  shift
+  "$BIN_DIR/quickstart" "$@" > "$WORK_DIR/qs_golden.out" 2>&1 || {
+      echo "FAIL: fault-free quickstart ($label) failed" >&2
       cat "$WORK_DIR/qs_golden.out" >&2
       exit 1
     }
-  if ! "$BIN_DIR/quickstart" --transport=$backend --compute=remote \
-      --ckpt-every=1 --chaos-kill-rank=2 > "$WORK_DIR/qs_chaos.out" 2>&1
+  if ! "$BIN_DIR/quickstart" "$@" --chaos-kill-rank=2 \
+      > "$WORK_DIR/qs_chaos.out" 2>&1
   then
-    echo "FAIL: quickstart ($backend) did not survive the worker kill" >&2
+    echo "FAIL: quickstart ($label) did not survive the worker kill" >&2
     cat "$WORK_DIR/qs_chaos.out" >&2
     exit 1
   fi
+  local rec
   rec=$(recoveries_in "$WORK_DIR/qs_chaos.out")
   if [[ "$rec" -lt 1 ]]; then
-    echo "FAIL: quickstart ($backend) reported no recovery" >&2
+    echo "FAIL: quickstart ($label) reported no recovery" >&2
     cat "$WORK_DIR/qs_chaos.out" >&2
     exit 1
   fi
   if ! diff <(grep ' -> ' "$WORK_DIR/qs_golden.out") \
             <(grep ' -> ' "$WORK_DIR/qs_chaos.out"); then
-    echo "FAIL: quickstart ($backend) distances diverged after recovery" >&2
+    echo "FAIL: quickstart ($label) distances diverged after recovery" >&2
     exit 1
   fi
   total_recoveries=$((total_recoveries + rec))
-  echo "quickstart $backend OK: rank-2 endpoint killed, recovered" \
+  echo "quickstart $label OK: rank-2 endpoint killed, recovered" \
        "(${rec}x), distances identical"
+}
+
+echo "== phase 1: quickstart chaos differential =="
+for backend in socket tcp; do
+  quickstart_differential "$backend" --transport=$backend --compute=remote \
+    --ckpt-every=1
 done
+# A distributed-built world: its fragments exist only in the endpoints, so
+# the respawned rank gets its fragment back from its checkpoint base.
+quickstart_differential "tcp distributed" --transport=tcp --compute=remote \
+  --load=distributed --ckpt-every=1
 
 echo "== phase 2: external SIGKILL on a live tcp run =="
-ARGS=(--graph=grid --rows=200 --cols=200 --workers=3 --transport=tcp
+ARGS=(--graph=grid --rows=300 --cols=300 --workers=3 --transport=tcp
       --load=distributed --ckpt-every=5 sssp source=0)
 KILL_AFTER_SECONDS="${GRAPE_CHAOS_KILL_AFTER:-2}"
 ATTEMPTS="${GRAPE_CHAOS_ATTEMPTS:-3}"

@@ -42,9 +42,10 @@ namespace grape {
 struct CheckpointPolicy {
   /// Checkpoint every k supersteps; 0 disables checkpointing AND recovery.
   uint32_t every_k = 0;
-  /// Empty: worker images ship inline to rank 0's memory (lost if rank 0
-  /// dies — out of scope, see README). Non-empty: each worker persists its
-  /// image under this directory via CheckpointStore's tmp+rename files,
+  /// Empty: worker checkpoints — the base (fragment) once per run, a round
+  /// image per barrier — ship inline to rank 0's memory (lost if rank 0
+  /// dies — out of scope, see README). Non-empty: each worker persists
+  /// them under this directory via CheckpointStore's tmp+rename files,
   /// and restores read them back locally.
   std::string dir;
   /// Give up after this many world rebuilds within one Run.
@@ -1330,9 +1331,12 @@ class GrapeEngine {
   /// its whole message frontier) are in. Each worker is told how many
   /// direct frames it should already hold buffered (this round's
   /// direct_matrix column); it snapshots state + buffered frames WITHOUT
-  /// consuming them and acks with the image (inline in memory mode, via
-  /// its local CheckpointStore in disk mode). Once every ack is in, the
-  /// coordinator rolls its own loop state into snapshot_.
+  /// consuming them and acks with the round image (inline in memory mode,
+  /// via its local CheckpointStore in disk mode). While no snapshot is
+  /// complete — the run's first barrier, or the first after a cold
+  /// restart from a torn one — the workers also write their checkpoint
+  /// base, the fragment, which every later image refers to. Once every ack
+  /// is in, the coordinator rolls its own loop state into snapshot_.
   Status MaybeTakeCheckpoint(const RemoteRound& round) {
     const CheckpointPolicy& cp = options_.checkpoint;
     if (!cp.enabled() || metrics_.supersteps % cp.every_k != 0) {
@@ -1344,6 +1348,7 @@ class GrapeEngine {
     for (FragmentId i = 0; i < n; ++i) {
       WkCheckpointCommand cmd;
       cmd.round = barrier;
+      cmd.with_base = !snapshot_.valid;
       cmd.dir = cp.dir;
       for (FragmentId s = 0; s < n; ++s) {
         const uint32_t frames = round.direct_matrix[s][i];
@@ -1354,9 +1359,10 @@ class GrapeEngine {
       GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
                                        kTagWkCheckpoint, enc.TakeBuffer()));
     }
-    // One kTagWkCheckpointAck per worker for this barrier. Inline images
-    // are validated by a full decode BEFORE being committed to the store:
-    // a corrupt image must never become the recovery point. No kTagWkData
+    // One kTagWkCheckpointAck per worker for this barrier. Inline blobs
+    // are validated (checksum + structural walk, and the image must name
+    // its rank's base) BEFORE being committed to the store: a corrupt or
+    // mismatched blob must never become the recovery point. No kTagWkData
     // can legitimately arrive here (the barrier sits between a round's
     // acks and the next round's commands), so anything else is stale.
     uint64_t bytes = 0;
@@ -1369,11 +1375,8 @@ class GrapeEngine {
           if (ack.round != barrier) return false;  // stale duplicate
           bytes += ack.bytes;
           if (!ack.image.empty()) {
-            GRAPE_RETURN_NOT_OK(
-                DecodeCheckpointImage(ack.image.data(), ack.image.size())
-                    .status());
-            GRAPE_RETURN_NOT_OK(
-                ckpt_store_.Put(msg.from, barrier, std::move(ack.image)));
+            GRAPE_RETURN_NOT_OK(ckpt_store_.CommitBarrier(
+                msg.from, barrier, std::move(ack.base), std::move(ack.image)));
           }
           return true;
         }));
@@ -1402,10 +1405,10 @@ class GrapeEngine {
   }
 
   /// Re-seeds a rebuilt world from snapshot_ + ckpt_store_: ships each
-  /// worker its image (inline in memory mode; by directory in disk mode),
-  /// awaits the restore acks — which report the NEW endpoint pids — then
-  /// rolls the coordinator's counters, metrics, routed inbox and barrier
-  /// round back. The loop resumes exactly as the fault-free run would
+  /// worker its base and round image (inline in memory mode; by directory
+  /// in disk mode), awaits the restore acks — which report the NEW
+  /// endpoint pids — then rolls the coordinator's counters, metrics,
+  /// routed inbox and barrier round back. The loop resumes exactly as the fault-free run would
   /// have continued from that superstep.
   Status RestoreFromSnapshot(RemoteRound* round) {
     const FragmentId n = n_frags_;
@@ -1430,6 +1433,8 @@ class GrapeEngine {
           GRAPE_ASSIGN_OR_RETURN(
               cmd.image,
               ckpt_store_.GetEncoded(RankOf(i), snapshot_.supersteps));
+          GRAPE_ASSIGN_OR_RETURN(cmd.base,
+                                 ckpt_store_.GetEncodedBase(RankOf(i)));
         }
         Encoder enc(world_->buffer_pool().Acquire());
         cmd.EncodeTo(enc);

@@ -101,6 +101,14 @@ RemoteWorkerHost::RemoteWorkerHost(uint32_t rank, Emit emit, BufferPool* pool)
       emit_(std::move(emit)),
       pool_(pool != nullptr ? pool : &owned_pool_) {}
 
+void RemoteWorkerHost::DropRunState() {
+  pending_.clear();
+  inc_pending_ = false;
+  ckpt_pending_ = false;
+  base_checksum_.reset();
+  mut_.reset();
+}
+
 Status RemoteWorkerHost::EmitError(const Status& error) {
   Encoder enc(pool_->Acquire());
   EncodeWorkerError(enc, error);
@@ -131,10 +139,7 @@ Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
   // server. (A flaky-duplicated load frame re-loads the identical state
   // and its second ack is ignored engine-side — harmless.)
   server_.reset();
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
+  DropRunState();
   auto factory = WorkerAppRegistry::Global().Get(app_name);
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
@@ -159,10 +164,7 @@ Status RemoteWorkerHost::HandleQuery(const std::vector<uint8_t>& payload) {
   // Sessions only advance between completed runs, so anything still
   // buffered belongs to an abandoned round; clear it exactly as a reload
   // would, minus the fragment work.
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
+  DropRunState();
   Decoder dec(payload);
   if (Status s = server_->ResetQuery(dec, check_monotonicity_); !s.ok()) {
     return EmitError(s);
@@ -300,9 +302,26 @@ Status RemoteWorkerHost::MaybeCheckpoint() {
   }
   ckpt_pending_ = false;
 
+  std::vector<uint8_t> base_blob;
+  if (ckpt_cmd_.with_base) {
+    CheckpointBase base;
+    base.rank = rank_;
+    Encoder fragment;
+    if (Status s = server_->EncodeFragment(fragment); !s.ok()) {
+      return EmitError(s);
+    }
+    base.fragment = fragment.TakeBuffer();
+    base_blob = EncodeCheckpointBase(&base);
+    base_checksum_ = base.checksum;
+  } else if (!base_checksum_.has_value()) {
+    return EmitError(Status::FailedPrecondition(
+        "round checkpoint ordered before the run's checkpoint base"));
+  }
+
   CheckpointImage image;
   image.rank = rank_;
   image.round = ckpt_cmd_.round;
+  image.base_checksum = *base_checksum_;
   Encoder state(pool_->Acquire());
   if (Status s = server_->EncodeCheckpoint(state); !s.ok()) {
     return EmitError(s);
@@ -318,15 +337,17 @@ Status RemoteWorkerHost::MaybeCheckpoint() {
 
   WkCheckpointAck ack;
   ack.round = ckpt_cmd_.round;
-  ack.bytes = encoded.size();
+  ack.bytes = encoded.size() + base_blob.size();
   if (ckpt_cmd_.dir.empty()) {
     ack.image = std::move(encoded);
+    ack.base = std::move(base_blob);
   } else {
+    // Base first: a round file on disk always has its base beside it.
     CheckpointStore store(ckpt_cmd_.dir);
-    if (Status s = store.Put(rank_, ckpt_cmd_.round, std::move(encoded));
-        !s.ok()) {
-      return EmitError(s);
-    }
+    Status s = Status::OK();
+    if (!base_blob.empty()) s = store.PutBase(rank_, std::move(base_blob));
+    if (s.ok()) s = store.Put(rank_, ckpt_cmd_.round, std::move(encoded));
+    if (!s.ok()) return EmitError(s);
   }
   Encoder enc(pool_->Acquire());
   ack.EncodeTo(enc);
@@ -342,15 +363,17 @@ Status RemoteWorkerHost::HandleRestore(const std::vector<uint8_t>& payload) {
   // A restore replaces whatever partial state this host has, exactly like
   // a load does — the previous run attempt is dead by definition.
   server_.reset();
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
+  DropRunState();
 
+  const CheckpointStore disk(cmd.dir);
+  Result<CheckpointBase> base =
+      cmd.dir.empty() ? DecodeCheckpointBase(cmd.base.data(), cmd.base.size())
+                      : disk.GetBase(rank_);
+  if (!base.ok()) return EmitError(base.status());
   Result<CheckpointImage> image =
       cmd.dir.empty()
           ? DecodeCheckpointImage(cmd.image.data(), cmd.image.size())
-          : CheckpointStore(cmd.dir).Get(rank_, cmd.round);
+          : disk.Get(rank_, cmd.round);
   if (!image.ok()) return EmitError(image.status());
   if (image->round != cmd.round || image->rank != rank_) {
     return EmitError(Status::InvalidArgument(
@@ -364,13 +387,13 @@ Status RemoteWorkerHost::HandleRestore(const std::vector<uint8_t>& payload) {
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
   check_monotonicity_ = (cmd.flags & kWkLoadCheckMonotonicity) != 0;
   server->SetComputeThreads(cmd.compute_threads);
-  Decoder state(image->state);
-  if (Status s =
-          server->RestoreFromCheckpoint(state, rank_, check_monotonicity_);
+  if (Status s = server->RestoreFromCheckpoint(*base, *image, rank_,
+                                               check_monotonicity_);
       !s.ok()) {
     return EmitError(s);
   }
   server_ = std::move(server);
+  base_checksum_ = base->checksum;
   for (CheckpointImage::PendingWireFrame& f : image->pending) {
     pending_.push_back(PendingFrame{f.from, f.tag, std::move(f.payload)});
   }
@@ -665,6 +688,7 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
   // Peers that mutated first may already have buffered frames for this
   // session into mut_ — keep them; only errors reset the session.
   if (!mut_) mut_.emplace();
+  base_checksum_.reset();  // the fragment is about to change
   Decoder dec(payload);
   Result<const Fragment*> frag =
       server_->MutateFragment(dec, check_monotonicity_);
@@ -935,10 +959,7 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       // a fresh kTagWkLoad. shut_down_ only tells an in-thread host's
       // loop to exit; endpoint relay loops keep serving.
       server_.reset();
-      pending_.clear();
-      inc_pending_ = false;
-      ckpt_pending_ = false;
-      mut_.reset();
+      DropRunState();
       shut_down_ = true;
       return Status::OK();
     }

@@ -18,6 +18,7 @@
 #include "core/worker_core.h"
 #include "graph/mutation.h"
 #include "partition/fragment.h"
+#include "rt/checkpoint.h"
 #include "rt/transport.h"
 #include "rt/worker_protocol.h"
 #include "util/result.h"
@@ -97,13 +98,23 @@ class WorkerAppServerBase {
   virtual Status EncodePartial(Encoder& enc) const = 0;
   virtual uint32_t num_fragments() const = 0;
 
-  /// Serializes everything a respawned worker needs to resume this one's
-  /// run mid-stream: query + fragment + WorkerCore state (+ app state for
-  /// CheckpointableApp programs). Only called at a superstep barrier.
+  /// Serializes the fragment this server computes over — the checkpoint
+  /// base (rt/checkpoint.h), written once per run.
+  virtual Status EncodeFragment(Encoder& enc) const = 0;
+  /// Serializes the rest of what a respawned worker needs to resume this
+  /// one's run mid-stream: query + WorkerCore state (+ app state for
+  /// CheckpointableApp programs) — a round image's state, taken at every
+  /// checkpoint barrier. The fragment cannot change during a batch run,
+  /// so it is not repeated here.
   virtual Status EncodeCheckpoint(Encoder& enc) const = 0;
-  /// Inverse of EncodeCheckpoint on a fresh server instance. All-or-
-  /// nothing: a failure leaves the caller free to discard this instance.
-  virtual Status RestoreFromCheckpoint(Decoder& dec, uint32_t rank,
+  /// Inverse of EncodeFragment + EncodeCheckpoint on a fresh server
+  /// instance: decodes the fragment from `base` and the state from
+  /// `image`, rejecting (InvalidArgument) an image not taken over that
+  /// base. All-or-nothing: a failure leaves the caller free to discard
+  /// this instance.
+  virtual Status RestoreFromCheckpoint(const CheckpointBase& base,
+                                       const CheckpointImage& image,
+                                       uint32_t rank,
                                        bool check_monotonicity) = 0;
 
   // Streaming mutations (kTagWkMutate .. kTagWkIncStart): the warm path
@@ -245,21 +256,30 @@ class WorkerServer final : public WorkerAppServerBase {
     return (resident_ ? *resident_ : frag_).num_fragments();
   }
 
+  Status EncodeFragment(Encoder& enc) const override {
+    // Written even when the fragment came from the resident store: a
+    // post-recovery world's endpoint processes are fresh forks that never
+    // saw the distributed build, so the base is the only copy recovery
+    // can count on.
+    (resident_ ? *resident_ : frag_).EncodeTo(enc);
+    return Status::OK();
+  }
+
   Status EncodeCheckpoint(Encoder& enc) const override {
     EncodeValue(enc, query_);
-    // The fragment ships whole even when it came from the resident store:
-    // a post-recovery world's endpoint processes are fresh forks that
-    // never saw the distributed build, so the checkpoint must be
-    // self-sufficient.
-    (resident_ ? *resident_ : frag_).EncodeTo(enc);
     core_->EncodeCheckpoint(enc);
     return Status::OK();
   }
 
-  Status RestoreFromCheckpoint(Decoder& dec, uint32_t rank,
+  Status RestoreFromCheckpoint(const CheckpointBase& base,
+                               const CheckpointImage& image, uint32_t rank,
                                bool check_monotonicity) override {
-    GRAPE_RETURN_NOT_OK(DecodeValue(dec, &query_));
-    GRAPE_RETURN_NOT_OK(Fragment::DecodeFrom(dec, &frag_));
+    GRAPE_RETURN_NOT_OK(CheckImageMatchesBase(image, base));
+    Decoder frag_dec(base.fragment);
+    GRAPE_RETURN_NOT_OK(Fragment::DecodeFrom(frag_dec, &frag_));
+    if (!frag_dec.AtEnd()) {
+      return Status::Corruption("checkpoint base: trailing fragment bytes");
+    }
     resident_.reset();
     rank_ = rank;
     token_ = 0;
@@ -268,10 +288,16 @@ class WorkerServer final : public WorkerAppServerBase {
           "checkpoint of fragment " + std::to_string(frag_.fid()) +
           " restored at rank " + std::to_string(rank));
     }
+    Decoder state(image.state);
+    GRAPE_RETURN_NOT_OK(DecodeValue(state, &query_));
     core_.emplace(frag_, App{});
     MaybeEnableParallel();
     core_->Reset(check_monotonicity);
-    return core_->RestoreCheckpoint(dec);
+    GRAPE_RETURN_NOT_OK(core_->RestoreCheckpoint(state));
+    if (!state.AtEnd()) {
+      return Status::Corruption("checkpoint image: trailing state bytes");
+    }
+    return Status::OK();
   }
 
   Result<const Fragment*> MutateFragment(Decoder& dec,
@@ -522,6 +548,10 @@ class RemoteWorkerHost {
   /// message frontier and execution continues unchanged afterwards.
   Status MaybeCheckpoint();
   Status HandleRestore(const std::vector<uint8_t>& payload);
+  /// Drops everything buffered or armed for the current run — pending
+  /// frames, armed commands, the base checksum, an unfinished mutation —
+  /// but not the server itself.
+  void DropRunState();
   /// Reports a worker-side failure to the engine (code + message).
   Status EmitError(const Status& error);
   Status EmitAck(const WorkerAck& ack);
@@ -574,6 +604,11 @@ class RemoteWorkerHost {
   IncEvalCommand cmd_;
   bool ckpt_pending_ = false;
   WkCheckpointCommand ckpt_cmd_;
+  /// Checksum of the checkpoint base this host last wrote or restored from
+  /// for the current server; every round image it takes names it. Unset
+  /// until the run's first base, and dropped whenever the server or its
+  /// fragment changes.
+  std::optional<uint64_t> base_checksum_;
 
   /// One in-flight distributed build. Independent of the compute state
   /// above: a world can build the next graph while a loaded worker idles.

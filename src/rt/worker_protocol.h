@@ -98,8 +98,8 @@ enum WorkerProtocolTag : uint32_t {
   // emitted when a CheckpointPolicy is enabled — with the policy off the
   // wire traffic is byte-identical to a build without these tags.
   kTagWkCheckpoint = 0x114,     // 0 -> r: snapshot order at a barrier
-  kTagWkCheckpointAck = 0x115,  // r -> 0: encoded image (or disk receipt)
-  kTagWkRestore = 0x116,        // 0 -> r: rebuild state from an image
+  kTagWkCheckpointAck = 0x115,  // r -> 0: encoded blobs (or disk receipt)
+  kTagWkRestore = 0x116,        // 0 -> r: rebuild state from base + image
   kTagWkPing = 0x117,           // 0 -> r: liveness probe
   kTagWkPong = 0x118,           // r -> 0: probe reply (payload echoed)
 
@@ -153,8 +153,9 @@ inline bool IsStatsCountedWorkerTag(uint32_t tag) {
 inline constexpr uint8_t kWkPhaseLoad = 1;
 inline constexpr uint8_t kWkPhasePEval = 2;
 inline constexpr uint8_t kWkPhaseIncEval = 3;
-/// Ack for kTagWkRestore: the worker rebuilt query + fragment + core state
-/// from a checkpoint image and re-buffered the image's pending frames.
+/// Ack for kTagWkRestore: the worker rebuilt its fragment from a checkpoint
+/// base, query + core state from a round image taken over that base, and
+/// re-buffered the image's pending frames.
 inline constexpr uint8_t kWkPhaseRestore = 4;
 /// Ack for kTagWkMutate (travels as a WkBuildAck, not a WorkerAck — the
 /// coordinator needs the rebuilt shape, not phase counters).
@@ -443,14 +444,21 @@ struct IncEvalCommand {
 /// captures the exact message frontier a recovered run will replay.
 struct WkCheckpointCommand {
   uint32_t round = 0;
-  /// Empty: ship the encoded image back inside the ack (in-memory store at
-  /// rank 0). Non-empty: write it to `<dir>/grape_ckpt_r<rank>.bin` on the
-  /// worker's local disk and ack with a byte-count receipt only.
+  /// Also write the checkpoint base (the fragment, rt/checkpoint.h): set
+  /// while the coordinator has no complete snapshot, so once per run — or
+  /// again after a torn first barrier. Every later round image names the
+  /// base the worker wrote or restored last.
+  bool with_base = false;
+  /// Empty: ship the encoded blobs back inside the ack (in-memory store at
+  /// rank 0). Non-empty: write them to `<dir>/grape_ckpt_r<rank>_s<round>.bin`
+  /// (and `<dir>/grape_ckpt_r<rank>_base.bin`) on the worker's local disk
+  /// and ack with a byte-count receipt only.
   std::string dir;
   std::vector<std::pair<uint32_t, uint32_t>> expect_direct;  // (from, frames)
 
   void EncodeTo(Encoder& enc) const {
     enc.WriteU32(round);
+    enc.WriteBool(with_base);
     enc.WriteString(dir);
     enc.WriteVarint(expect_direct.size());
     for (const auto& [rank, frames] : expect_direct) {
@@ -461,6 +469,7 @@ struct WkCheckpointCommand {
 
   static Status DecodeFrom(Decoder& dec, WkCheckpointCommand* out) {
     GRAPE_RETURN_NOT_OK(dec.ReadU32(&out->round));
+    GRAPE_RETURN_NOT_OK(dec.ReadBool(&out->with_base));
     GRAPE_RETURN_NOT_OK(dec.ReadString(&out->dir));
     uint64_t n = 0;
     GRAPE_RETURN_NOT_OK(dec.ReadVarint(&n));
@@ -479,37 +488,59 @@ struct WkCheckpointCommand {
   }
 };
 
-/// kTagWkCheckpointAck payload. In-memory mode ships the encoded
-/// CheckpointImage; disk mode ships an empty image and the byte count
-/// written, as a durable-write receipt.
+/// Reads a varint length and that many bytes into `out`.
+inline Status ReadBlob(Decoder& dec, std::vector<uint8_t>* out,
+                       const char* what) {
+  uint64_t n = 0;
+  GRAPE_RETURN_NOT_OK(dec.ReadVarint(&n));
+  if (n > dec.Remaining()) {
+    return Status::Corruption(std::string(what) + " overruns");
+  }
+  out->resize(n);
+  return dec.ReadPodSpan(out->data(), n);
+}
+
+inline void WriteBlob(Encoder& enc, const std::vector<uint8_t>& blob) {
+  enc.WriteVarint(blob.size());
+  enc.WritePodSpan(blob.data(), blob.size());
+}
+
+/// kTagWkCheckpointAck payload. In-memory mode ships the encoded round
+/// image, plus the encoded base when the command asked for one; `bytes`
+/// is then exactly their total. Disk mode ships neither, and `bytes` is
+/// the byte count written, as a durable-write receipt.
 struct WkCheckpointAck {
   uint32_t round = 0;
   uint64_t bytes = 0;
   std::vector<uint8_t> image;  // encoded CheckpointImage, or empty (disk)
+  std::vector<uint8_t> base;   // encoded CheckpointBase, or empty
 
   void EncodeTo(Encoder& enc) const {
+    enc.Reserve(32 + image.size() + base.size());
     enc.WriteU32(round);
     enc.WriteU64(bytes);
-    enc.WriteVarint(image.size());
-    enc.WritePodSpan(image.data(), image.size());
+    WriteBlob(enc, image);
+    WriteBlob(enc, base);
   }
 
   static Status DecodeFrom(Decoder& dec, WkCheckpointAck* out) {
     GRAPE_RETURN_NOT_OK(dec.ReadU32(&out->round));
     GRAPE_RETURN_NOT_OK(dec.ReadU64(&out->bytes));
-    uint64_t n = 0;
-    GRAPE_RETURN_NOT_OK(dec.ReadVarint(&n));
-    if (n > dec.Remaining()) {
-      return Status::Corruption("checkpoint ack image overruns");
+    GRAPE_RETURN_NOT_OK(ReadBlob(dec, &out->image, "checkpoint ack image"));
+    GRAPE_RETURN_NOT_OK(ReadBlob(dec, &out->base, "checkpoint ack base"));
+    const bool inline_blobs = !out->image.empty();
+    if ((!inline_blobs && !out->base.empty()) ||
+        (inline_blobs &&
+         out->bytes != out->image.size() + out->base.size())) {
+      return Status::Corruption("checkpoint ack byte count disagrees");
     }
-    out->image.resize(n);
-    return dec.ReadPodSpan(out->image.data(), n);
+    return Status::OK();
   }
 };
 
 /// kTagWkRestore payload: everything a freshly respawned worker host needs
-/// to resume mid-run. The image travels inline (in-memory store) or the
-/// worker reads it from `dir` (per-worker local disk).
+/// to resume mid-run. The base and round image travel inline (in-memory
+/// store) or the worker reads both from `dir` (per-worker local disk).
 struct WkRestoreCommand {
   std::string app_name;
   uint8_t flags = 0;   // kWkLoadCheckMonotonicity | kWkLoadComputeThreads
@@ -520,17 +551,20 @@ struct WkRestoreCommand {
   uint32_t round = 0;  // the barrier to restore — a torn checkpoint can
                        // leave newer images around; the coordinator's
                        // snapshot, not the newest image, picks the round
-  std::string dir;     // non-empty: load image from local disk instead
+  std::string dir;     // non-empty: load both blobs from local disk instead
   std::vector<uint8_t> image;  // encoded CheckpointImage when dir is empty
+  std::vector<uint8_t> base;   // encoded CheckpointBase when dir is empty
 
   void EncodeTo(Encoder& enc) const {
+    enc.Reserve(64 + app_name.size() + dir.size() + image.size() +
+                base.size());
     enc.WriteString(app_name);
     enc.WriteU8(flags);
     if (flags & kWkLoadComputeThreads) enc.WriteU32(compute_threads);
     enc.WriteU32(round);
     enc.WriteString(dir);
-    enc.WriteVarint(image.size());
-    enc.WritePodSpan(image.data(), image.size());
+    WriteBlob(enc, image);
+    WriteBlob(enc, base);
   }
 
   static Status DecodeFrom(Decoder& dec, WkRestoreCommand* out) {
@@ -541,13 +575,8 @@ struct WkRestoreCommand {
     }
     GRAPE_RETURN_NOT_OK(dec.ReadU32(&out->round));
     GRAPE_RETURN_NOT_OK(dec.ReadString(&out->dir));
-    uint64_t n = 0;
-    GRAPE_RETURN_NOT_OK(dec.ReadVarint(&n));
-    if (n > dec.Remaining()) {
-      return Status::Corruption("restore command image overruns");
-    }
-    out->image.resize(n);
-    return dec.ReadPodSpan(out->image.data(), n);
+    GRAPE_RETURN_NOT_OK(ReadBlob(dec, &out->image, "restore command image"));
+    return ReadBlob(dec, &out->base, "restore command base");
   }
 };
 

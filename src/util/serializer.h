@@ -74,6 +74,10 @@ class Encoder {
     AppendRaw(data, n * sizeof(T));
   }
 
+  /// Makes room for `n` more bytes at once, so a known-large encode grows
+  /// the buffer once instead of doubling (and copying) its way there.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -172,6 +176,15 @@ class Decoder {
     // not be, even for a zero-length copy.
     if (n > 0) std::memcpy(out->data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
+    return Status::OK();
+  }
+
+  /// Steps over `n` bytes without copying them, bounds-checked like a read.
+  Status Skip(uint64_t n) {
+    if (n > Remaining()) {
+      return Status::Corruption("skip extends past end of buffer");
+    }
+    pos_ += n;
     return Status::OK();
   }
 

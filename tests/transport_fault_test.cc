@@ -9,6 +9,7 @@
 // hang the fixed point.
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -718,6 +719,121 @@ TEST(TransportFaultTest, SigkilledWorkerRecoversBitIdenticalPageRankTcp) {
                                                     hash);
   RunSigkillRecoveryScenario<PageRankApp>("tcp", "pagerank", fg, query, 2,
                                           hash, golden);
+}
+
+/// Recovery of a world whose fragments the workers built themselves
+/// (--load=distributed): they exist only in the endpoint processes, so a
+/// respawned endpoint gets its fragment back from its checkpoint base or
+/// not at all. With every_k=1 the base is written at barrier 1 only; the
+/// rank-2 endpoint is SIGKILLed after barrier 3, so every restore pairs
+/// barrier 1's base with barrier 3's round image. `disk` selects a
+/// checkpoint directory over the in-memory store. The recovered hash,
+/// messages, bytes and supersteps must equal a fault-free run on the same
+/// world.
+template <typename AppT, typename QueryT, typename HashFn>
+void RunDistributedSigkillRecovery(const std::string& backend,
+                                   const char* app_name, QueryT query,
+                                   HashFn hash_out, bool disk) {
+  const std::string tag = backend + "_" + app_name +
+                          (disk ? "_disk_" : "_memory_") +
+                          std::to_string(getpid());
+  SCOPED_TRACE(tag);
+  constexpr uint32_t kKillAfter = 3;
+  Graph g = testing::ScenarioGraph("grid");
+  const std::string path =
+      ::testing::TempDir() + "/grape_dist_recovery_" + tag + ".txt";
+  ASSERT_TRUE(SaveEdgeListFile(g, path).ok());
+  RegisterBuiltinWorkerApps();
+  auto made = MakeTransport(backend, 5);
+  ASSERT_TRUE(made.ok()) << made.status();
+  Transport* transport = made->get();
+  DistributedLoadOptions opt;
+  opt.path = path;
+  opt.format.directed = true;
+  opt.format.has_weight = true;
+  opt.format.has_label = true;
+  opt.timeout_ms = 30000;
+  auto meta = DistributedLoad(transport, opt);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+
+  EngineOptions options;
+  options.transport = transport;
+  options.remote_app = app_name;
+  options.load_mode = "distributed";
+  options.max_supersteps = 2000;
+  options.remote_timeout_ms = 60000;
+  RecoveryGolden golden;
+  {
+    GrapeEngine<AppT> engine(*meta, options);
+    auto out = engine.Run(query);
+    ASSERT_TRUE(out.ok()) << out.status();
+    golden.messages = engine.metrics().messages;
+    golden.bytes = engine.metrics().bytes;
+    golden.supersteps = engine.metrics().supersteps;
+    golden.hash = hash_out(*out);
+  }
+  ASSERT_GT(golden.supersteps, kKillAfter + 1) << "run too short to kill in";
+
+  const std::string dir =
+      disk ? ::testing::TempDir() + "/grape_dist_recovery_ckpt_" + tag : "";
+  if (disk) {
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  }
+  options.checkpoint.every_k = 1;
+  options.checkpoint.dir = dir;
+  options.checkpoint.lease_ms = 60000;  // death is seen by the pid probe
+  std::atomic<bool> killed{false};
+  options.on_superstep = [&](uint32_t superstep) {
+    if (superstep != kKillAfter || killed.exchange(true)) return;
+    std::vector<int64_t> pids = transport->endpoint_process_ids();
+    ASSERT_GT(pids.size(), 2u) << backend << " exposed no endpoint pids";
+    ASSERT_GT(pids[2], 0);
+    ASSERT_EQ(kill(static_cast<pid_t>(pids[2]), SIGKILL), 0);
+  };
+  GrapeEngine<AppT> engine(*meta, options);
+  auto fut = std::async(std::launch::async,
+                        [&engine, &query] { return engine.Run(query); });
+  if (fut.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    ADD_FAILURE() << tag << ": recovery hung instead of finishing or failing";
+    std::fflush(nullptr);
+    std::abort();
+  }
+  auto out = fut.get();
+  ASSERT_TRUE(killed.load()) << "the kill never landed";
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_GE(engine.metrics().recoveries, 1u)
+      << "engine produced a result without recovering a killed worker";
+  EXPECT_EQ(hash_out(*out), golden.hash) << "recovered output diverged";
+  EXPECT_EQ(engine.metrics().messages, golden.messages);
+  EXPECT_EQ(engine.metrics().bytes, golden.bytes);
+  EXPECT_EQ(engine.metrics().supersteps, golden.supersteps);
+
+  ResidentFragmentStore::Global().Erase(meta->token);
+  std::remove(path.c_str());
+  if (disk) {
+    CheckpointStore(dir).Clear();
+    ::rmdir(dir.c_str());
+  }
+}
+
+TEST(TransportFaultTest, SigkilledWorkerOfADistributedBuildRecoversFromBase) {
+  auto sssp_hash = [](const SsspOutput& o) {
+    return testing::HashVector(o.dist);
+  };
+  auto pagerank_hash = [](const PageRankOutput& o) {
+    return testing::HashVector(o.rank);
+  };
+  PageRankQuery pagerank;
+  pagerank.max_iterations = 30;
+  for (const char* backend : {"socket", "tcp"}) {
+    for (bool disk : {false, true}) {
+      RunDistributedSigkillRecovery<SsspApp>(backend, "sssp", SsspQuery{3},
+                                             sssp_hash, disk);
+      RunDistributedSigkillRecovery<PageRankApp>(backend, "pagerank",
+                                                 pagerank, pagerank_hash,
+                                                 disk);
+    }
+  }
 }
 
 }  // namespace
