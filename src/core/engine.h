@@ -395,16 +395,16 @@ class GrapeEngine {
   }
 
   /// Streams one edge-mutation batch into the live session: every endpoint
-  /// rebuilds its fragment in place around the batch (graph/mutation.h
-  /// semantics — upsert inserts, delete-all-matches deletions), re-resolves
-  /// its routing plan peer-to-peer, and adopts warm parameter values for
-  /// its rebuilt outer set from the owners, so the converged answer state
-  /// survives the topology change. Returns each fragment's rebuilt shape.
+  /// patches its fragment around the batch (graph/mutation.h semantics —
+  /// upsert inserts, delete-all-matches deletions), re-resolves its
+  /// routing plan peer-to-peer, and adopts warm parameter values for its
+  /// new outer set from the owners, so the converged answer state
+  /// survives the topology change. Returns each fragment's new shape.
   /// This engine's routing slots are refreshed here; any OTHER engine
   /// attached to the same resident fragments must be handed the shapes via
   /// RefreshShapes(). Coordinator-loaded engines: the caller owns keeping
   /// its FragmentedGraph consistent (FragmentBuilder::MutateFragmentedGraph)
-  /// — the workers rebuild from their own resident state, never from fg_.
+  /// — the workers patch their own resident state, never fg_.
   Result<std::vector<WkBuildAck>> ApplyMutations(const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -941,6 +941,14 @@ class GrapeEngine {
   Result<Output> RunRemote(const Query& query)
     requires RemoteCompatibleApp<App>
   {
+    // The run's total spans every attempt and recovery: a restored
+    // attempt resumes the snapshot's cumulative phase times, so timing
+    // only the last attempt would report less than its own parts.
+    WallTimer run_timer;
+    auto finish = [&](Result<Output> out) {
+      metrics_.total_seconds = run_timer.ElapsedSeconds();
+      return out;
+    };
     run_recoveries_ = 0;
     snapshot_ = CoordSnapshot{};
     ckpt_store_ = CheckpointStore(options_.checkpoint.dir);
@@ -953,7 +961,7 @@ class GrapeEngine {
                                   ? RemoteSeed::kRestore
                                   : RemoteSeed::kLoad;
       Result<Output> out = RunRemoteFixpoint(query, seed, /*session=*/false);
-      if (out.ok()) return out;
+      if (out.ok()) return finish(std::move(out));
       const CheckpointPolicy& cp = options_.checkpoint;
       // Recoverable means: the failure is a death, not an app error; the
       // policy allows another attempt; the backend can rebuild the world;
@@ -965,14 +973,15 @@ class GrapeEngine {
           run_recoveries_ >= cp.max_recoveries ||
           !world_->supports_recovery() ||
           !(snapshot_.valid || fg_ != nullptr)) {
-        return out;
+        return finish(std::move(out));
       }
       if (options_.verbose) {
         GRAPE_LOG(kInfo) << "recovering world after: "
                          << out.status().ToString();
       }
       if (Status r = world_->Recover(); !r.ok()) {
-        return out;  // rebuild failed: surface the original death
+        // Rebuild failed: surface the original death.
+        return finish(std::move(out));
       }
       ++run_recoveries_;
     }
@@ -1296,7 +1305,7 @@ class GrapeEngine {
     return enc.TakeBuffer();
   }
 
-  /// Ships the encoded batch to every endpoint and collects the rebuilt
+  /// Ships the encoded batch to every endpoint and collects the patched
   /// shapes. The mutate ack (kTagWkMutateAck, a WkBuildAck) only arrives
   /// after the worker finished its peer-to-peer mirror/warm-value
   /// exchange, so a complete ack set means every routing plan is resolved

@@ -21,6 +21,12 @@ class IdIndexer {
     return it->second;
   }
 
+  /// Sizes the indexer for `n` ids, so inserting them never rehashes.
+  void Reserve(size_t n) {
+    index_.reserve(n);
+    gid_by_lid_.reserve(n);
+  }
+
   /// Returns the local index of `gid`, or kInvalidLocal if absent.
   LocalId Find(VertexId gid) const {
     auto it = index_.find(gid);

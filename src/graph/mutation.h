@@ -36,9 +36,10 @@ inline bool EdgeConnects(const Edge& e, VertexId src, VertexId dst,
 }
 
 /// An ordered batch of edge mutations, the wire unit of the streaming
-/// update path (kTagSvMutate / kTagWkMutate). Semantics, identical on the
-/// coordinator and inside worker endpoints because both run
-/// ApplyMutationsToEdges:
+/// update path (kTagSvMutate / kTagWkMutate). Semantics, shared by the
+/// whole-graph oracle (ApplyMutationsToEdges) and the fragment patch
+/// (FragmentBuilder::MutateFragment) on the coordinator and inside worker
+/// endpoints:
 ///
 ///   - insert is an UPSERT: if an edge with the same endpoints exists
 ///     (either orientation when undirected) its weight/label are replaced
@@ -146,16 +147,12 @@ struct MutationBatch {
   }
 };
 
-/// Applies `batch` in order to a materialized edge list. `keep(edge)`
-/// filters *new* insertions only (a worker keeps just the edges incident
-/// to its fragment); upsert-replacement and deletion always apply to
-/// whatever is present. Linear scans per op: mutation batches are small
-/// relative to the graph, and correctness (identical results at every
-/// placement) beats micro-speed here.
-template <typename KeepFn>
-void ApplyMutationsToEdges(std::vector<Edge>* edges,
-                           const MutationBatch& batch, bool directed,
-                           const KeepFn& keep) {
+/// Applies `batch` in order to a materialized edge list: the whole-graph
+/// oracle's step. Linear scans per op — the oracle favours obviousness;
+/// fragments patch only the rows a batch touches
+/// (FragmentBuilder::MutateFragment) under the same semantics.
+inline void ApplyMutationsToEdges(std::vector<Edge>* edges,
+                                  const MutationBatch& batch, bool directed) {
   for (const EdgeMutation& m : batch.ops) {
     if (m.op == MutationOp::kInsertEdge) {
       bool matched = false;
@@ -166,7 +163,7 @@ void ApplyMutationsToEdges(std::vector<Edge>* edges,
           matched = true;
         }
       }
-      if (!matched && keep(m.edge)) edges->push_back(m.edge);
+      if (!matched) edges->push_back(m.edge);
     } else {
       std::erase_if(*edges, [&](const Edge& e) {
         return EdgeConnects(e, m.edge.src, m.edge.dst, directed);
@@ -182,8 +179,7 @@ inline Result<Graph> ApplyMutations(const Graph& graph,
                                     const MutationBatch& batch) {
   GRAPE_RETURN_NOT_OK(batch.Validate(graph.num_vertices()));
   std::vector<Edge> edges = graph.ToEdgeList();
-  ApplyMutationsToEdges(&edges, batch, graph.is_directed(),
-                        [](const Edge&) { return true; });
+  ApplyMutationsToEdges(&edges, batch, graph.is_directed());
   GraphBuilder builder(graph.is_directed());
   builder.ReserveEdges(edges.size());
   for (const Edge& e : edges) builder.AddEdge(e);

@@ -99,6 +99,62 @@ Status ValidateCsr(const char* what, const std::vector<size_t>& offsets,
   return Status::OK();
 }
 
+/// One arc of a row being patched, keyed by its neighbour's gid. Inner
+/// rows are sorted by neighbour gid; outer rows list inner vertices, whose
+/// local ids ascend with gid — so gid order is every row's order.
+struct GidArc {
+  VertexId gid;
+  EdgeWeight weight;
+  Label label;
+};
+
+struct ByGid {
+  bool operator()(const GidArc& a, VertexId gid) const { return a.gid < gid; }
+  bool operator()(VertexId gid, const GidArc& a) const { return gid < a.gid; }
+};
+
+/// A row whose entries a mutation replaced, addressed by its new row id.
+template <typename T>
+struct PatchedRow {
+  LocalId row;
+  std::vector<T> entries;
+};
+
+/// Writes a `num_rows`-row CSR into (offsets, values): row v takes the
+/// entries of the `patched` row naming it (ascending row ids), and
+/// otherwise copies old row source_row(v) with every entry passed through
+/// `map`. One linear pass; untouched rows keep their exact order.
+template <typename T, typename SourceFn, typename MapFn>
+void SpliceRows(LocalId num_rows, const std::vector<size_t>& old_offsets,
+                const std::vector<T>& old_values,
+                const std::vector<PatchedRow<T>>& patched,
+                const SourceFn& source_row, const MapFn& map,
+                std::vector<size_t>* offsets, std::vector<T>* values) {
+  size_t patched_entries = 0;
+  for (const PatchedRow<T>& p : patched) patched_entries += p.entries.size();
+  offsets->clear();
+  offsets->reserve(num_rows + 1);
+  offsets->push_back(0);
+  values->clear();
+  values->reserve(old_values.size() + patched_entries);
+  auto p = patched.begin();
+  for (LocalId v = 0; v < num_rows; ++v) {
+    if (p != patched.end() && p->row == v) {
+      values->insert(values->end(), p->entries.begin(), p->entries.end());
+      ++p;
+    } else {
+      const LocalId o = source_row(v);
+      const size_t at = values->size();
+      values->insert(values->end(), old_values.begin() + old_offsets[o],
+                     old_values.begin() + old_offsets[o + 1]);
+      for (size_t k = at; k < values->size(); ++k) {
+        (*values)[k] = map((*values)[k]);
+      }
+    }
+    offsets->push_back(values->size());
+  }
+}
+
 }  // namespace
 
 void Fragment::EncodeTo(Encoder& enc) const {
@@ -543,63 +599,223 @@ Status FragmentBuilder::CheckMirrorsResolved(const Fragment& frag) {
   return Status::OK();
 }
 
-std::vector<Edge> FragmentBuilder::MaterializeIncidentEdges(
-    const Fragment& frag) {
-  std::vector<Edge> edges;
-  edges.reserve(frag.num_edges());
-  const LocalId ni = frag.num_inner_;
-  if (frag.directed_) {
-    for (LocalId i = 0; i < ni; ++i) {
-      const VertexId g = frag.gids_[i];
-      // Inner out-rows are the full global out-adjacency; inner in-rows
-      // add the arcs arriving from outer sources (inner sources were
-      // already covered by their own out-rows).
-      for (const FragNeighbor& nb : frag.OutNeighbors(i)) {
-        edges.push_back(Edge{g, frag.gids_[nb.local], nb.weight, nb.label});
-      }
-      for (const FragNeighbor& nb : frag.InNeighbors(i)) {
-        if (nb.local >= ni) {
-          edges.push_back(Edge{frag.gids_[nb.local], g, nb.weight, nb.label});
-        }
-      }
-    }
-  } else {
-    for (LocalId i = 0; i < ni; ++i) {
-      const VertexId g = frag.gids_[i];
-      for (const FragNeighbor& nb : frag.OutNeighbors(i)) {
-        // Inner-inner edges appear in both endpoints' rows; emit from the
-        // lower gid only. Inner-outer edges have one inner endpoint.
-        if (nb.local < ni && frag.gids_[nb.local] < g) continue;
-        edges.push_back(Edge{g, frag.gids_[nb.local], nb.weight, nb.label});
-      }
-    }
-  }
-  return edges;
-}
-
 Result<Fragment> FragmentBuilder::MutateFragment(const Fragment& frag,
                                                  const MutationBatch& batch) {
   GRAPE_RETURN_NOT_OK(batch.Validate(frag.total_vertices_));
-  std::vector<Edge> edges = MaterializeIncidentEdges(frag);
-  const FragmentId fid = frag.fid_;
   const std::vector<FragmentId>& owner = *frag.owner_;
-  ApplyMutationsToEdges(&edges, batch, frag.directed_, [&](const Edge& e) {
-    return owner[e.src] == fid || owner[e.dst] == fid;
-  });
+  const std::vector<LocalId>& owner_lid = *frag.owner_lid_;
+  const FragmentId fid = frag.fid_;
+  const LocalId ni = frag.num_inner_;
+  const bool directed = frag.directed_;
+  auto relevant = [&](const EdgeMutation& m) {
+    return owner[m.edge.src] == fid || owner[m.edge.dst] == fid;
+  };
 
-  GraphBuilder builder(frag.directed_);
-  builder.ReserveEdges(edges.size());
-  for (const Edge& e : edges) builder.AddEdge(e);
-  if (!frag.labels_.empty()) {
-    for (LocalId i = 0; i < frag.num_local(); ++i) {
-      builder.SetVertexLabel(frag.gids_[i], frag.labels_[i]);
+  // Both endpoints of every op with an inner endpoint; ops between two
+  // foreign vertices touch nothing here. Each touched vertex's rows are
+  // lifted into gid space: out[k] and (directed) in[k].
+  std::vector<VertexId> touched;
+  for (const EdgeMutation& m : batch.ops) {
+    if (!relevant(m)) continue;
+    touched.push_back(m.edge.src);
+    touched.push_back(m.edge.dst);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  auto lift = [&](std::span<const FragNeighbor> row) {
+    std::vector<GidArc> arcs;
+    arcs.reserve(row.size() + 1);
+    for (const FragNeighbor& nb : row) {
+      arcs.push_back(GidArc{frag.gids_[nb.local], nb.weight, nb.label});
+    }
+    return arcs;
+  };
+  std::vector<std::vector<GidArc>> out_rows(touched.size());
+  std::vector<std::vector<GidArc>> in_rows(directed ? touched.size() : 0);
+  for (size_t k = 0; k < touched.size(); ++k) {
+    const LocalId lid = frag.Lid(touched[k]);
+    if (lid == kInvalidLocal) continue;
+    out_rows[k] = lift(frag.OutNeighbors(lid));
+    if (directed) in_rows[k] = lift(frag.InNeighbors(lid));
+  }
+  auto row_of = [&](VertexId gid, bool in) -> std::vector<GidArc>& {
+    const size_t k =
+        std::lower_bound(touched.begin(), touched.end(), gid) - touched.begin();
+    return in ? in_rows[k] : out_rows[k];
+  };
+
+  // The batch in op order. Arc (s, d) lives in s's out-row (keyed d) and
+  // d's in-row (keyed s) — undirected: both endpoints' rows — whichever of
+  // them is inner or outer, so every op edits exactly those two rows.
+  for (const EdgeMutation& m : batch.ops) {
+    if (!relevant(m)) continue;
+    const Edge& e = m.edge;
+    std::vector<GidArc>& a = row_of(e.src, false);
+    std::vector<GidArc>& b = row_of(e.dst, directed);
+    auto [a_lo, a_hi] = std::equal_range(a.begin(), a.end(), e.dst, ByGid{});
+    auto [b_lo, b_hi] = std::equal_range(b.begin(), b.end(), e.src, ByGid{});
+    if (m.op == MutationOp::kDeleteEdge) {
+      a.erase(a_lo, a_hi);
+      b.erase(b_lo, b_hi);
+    } else if (a_lo == a_hi && b_lo == b_hi) {
+      a.insert(a_lo, GidArc{e.dst, e.weight, e.label});
+      b.insert(b_lo, GidArc{e.src, e.weight, e.label});
+    } else {
+      // Upsert: every matching arc takes the new payload.
+      for (auto it = a_lo; it != a_hi; ++it) *it = {e.dst, e.weight, e.label};
+      for (auto it = b_lo; it != b_hi; ++it) *it = {e.src, e.weight, e.label};
     }
   }
-  if (frag.total_vertices_ > 0) builder.AddVertex(frag.total_vertices_ - 1);
-  auto local = std::move(builder).Build(frag.total_vertices_);
-  if (!local.ok()) return local.status();
-  return AssembleLocal(*local, frag.owner_, frag.owner_lid_, fid,
-                       frag.num_fragments_);
+
+  // Outer-set changes: a foreign touched vertex is outer iff one of its
+  // rows still links it to the inner set.
+  std::vector<VertexId> appeared;
+  std::vector<LocalId> vanished;  // old lids, ascending
+  for (size_t k = 0; k < touched.size(); ++k) {
+    if (owner[touched[k]] == fid) continue;
+    const bool linked =
+        !out_rows[k].empty() || (directed && !in_rows[k].empty());
+    const LocalId lid = frag.Lid(touched[k]);
+    if (linked && lid == kInvalidLocal) appeared.push_back(touched[k]);
+    if (!linked && lid != kInvalidLocal) vanished.push_back(lid);
+  }
+
+  Fragment f;
+  f.fid_ = fid;
+  f.num_fragments_ = frag.num_fragments_;
+  f.total_vertices_ = frag.total_vertices_;
+  f.directed_ = directed;
+  f.num_inner_ = ni;
+  f.owner_ = frag.owner_;
+  f.owner_lid_ = frag.owner_lid_;
+
+  // old_lid[v]: the row new local id v copies (kInvalidLocal for an
+  // appeared outer); remap[o - ni]: old outer o's new local id. Both come
+  // from one sorted merge of the surviving old outers with the appeared.
+  const bool outers_moved = !appeared.empty() || !vanished.empty();
+  std::vector<LocalId> old_lid;
+  std::vector<LocalId> remap;
+  if (!outers_moved) {
+    f.gids_ = frag.gids_;
+    f.indexer_ = frag.indexer_;
+    f.labels_ = frag.labels_;
+    f.outer_owner_frag_ = frag.outer_owner_frag_;
+    f.outer_owner_lid_ = frag.outer_owner_lid_;
+  } else {
+    const LocalId old_local = frag.num_local();
+    const size_t num_local = old_local - vanished.size() + appeared.size();
+    f.gids_.assign(frag.gids_.begin(), frag.gids_.begin() + ni);
+    f.gids_.reserve(num_local);
+    old_lid.reserve(num_local);
+    remap.assign(old_local - ni, kInvalidLocal);
+    auto gone = vanished.begin();
+    auto fresh = appeared.begin();
+    for (LocalId o = ni; o <= old_local; ++o) {
+      const VertexId g = o < old_local ? frag.gids_[o] : frag.total_vertices_;
+      for (; fresh != appeared.end() && *fresh < g; ++fresh) {
+        f.gids_.push_back(*fresh);
+        old_lid.push_back(kInvalidLocal);
+      }
+      if (o == old_local) break;
+      if (gone != vanished.end() && *gone == o) {
+        ++gone;
+        continue;
+      }
+      remap[o - ni] = static_cast<LocalId>(f.gids_.size());
+      f.gids_.push_back(g);
+      old_lid.push_back(o);
+    }
+    f.indexer_.Reserve(f.gids_.size());
+    for (VertexId gid : f.gids_) f.indexer_.GetOrInsert(gid);
+    if (!frag.labels_.empty()) {
+      // A vertex that first becomes outer here gets label 0: the owner
+      // knows the true label, but no engine app reads outer labels.
+      f.labels_.assign(frag.labels_.begin(), frag.labels_.begin() + ni);
+      for (LocalId o : old_lid) {
+        f.labels_.push_back(o == kInvalidLocal ? 0 : frag.labels_[o]);
+      }
+    }
+    f.outer_owner_frag_.reserve(f.num_outer());
+    f.outer_owner_lid_.reserve(f.num_outer());
+    for (LocalId v = ni; v < f.num_local(); ++v) {
+      f.outer_owner_frag_.push_back(owner[f.gids_[v]]);
+      f.outer_owner_lid_.push_back(owner_lid[f.gids_[v]]);
+    }
+  }
+  const LocalId num_local = f.num_local();
+  auto source_row = [&](LocalId v) {
+    return v < ni || !outers_moved ? v : old_lid[v - ni];
+  };
+  auto to_new = [&](LocalId local) {
+    return local < ni || !outers_moved ? local : remap[local - ni];
+  };
+
+  // The touched rows that survive, by new local id, back in local space.
+  std::vector<PatchedRow<FragNeighbor>> out_patch, in_patch;
+  std::vector<PatchedRow<FragmentId>> mirror_patch;
+  for (size_t k = 0; k < touched.size(); ++k) {
+    const VertexId g = touched[k];
+    const bool inner = owner[g] == fid;
+    const LocalId v = inner ? owner_lid[g] : f.indexer_.Find(g);
+    if (v == kInvalidLocal) continue;  // vanished outer
+    auto lower = [&](const std::vector<GidArc>& arcs) {
+      std::vector<FragNeighbor> row;
+      row.reserve(arcs.size());
+      for (const GidArc& arc : arcs) {
+        const LocalId local = owner[arc.gid] == fid ? owner_lid[arc.gid]
+                                                    : f.indexer_.Find(arc.gid);
+        row.push_back(FragNeighbor{local, arc.weight, arc.label});
+      }
+      return row;
+    };
+    out_patch.push_back({v, lower(out_rows[k])});
+    if (directed) in_patch.push_back({v, lower(in_rows[k])});
+    if (!inner) continue;
+    // Border flag and mirror list of a touched inner vertex: the owners
+    // of its foreign neighbours, from its patched rows alone.
+    std::vector<FragmentId> mirrors;
+    auto visit = [&](const std::vector<GidArc>& arcs) {
+      for (const GidArc& arc : arcs) {
+        if (owner[arc.gid] != fid) mirrors.push_back(owner[arc.gid]);
+      }
+    };
+    visit(out_rows[k]);
+    if (directed) visit(in_rows[k]);
+    std::sort(mirrors.begin(), mirrors.end());
+    mirrors.erase(std::unique(mirrors.begin(), mirrors.end()), mirrors.end());
+    mirror_patch.push_back({v, std::move(mirrors)});
+  }
+  auto by_row = [](const auto& x, const auto& y) { return x.row < y.row; };
+  std::sort(out_patch.begin(), out_patch.end(), by_row);
+  std::sort(in_patch.begin(), in_patch.end(), by_row);
+  // mirror_patch is already in inner-lid order: touched is gid-sorted.
+
+  auto move_arc = [&](FragNeighbor nb) {
+    nb.local = to_new(nb.local);
+    return nb;
+  };
+  SpliceRows(num_local, frag.out_offsets_, frag.out_neighbors_, out_patch,
+             source_row, move_arc, &f.out_offsets_, &f.out_neighbors_);
+  if (directed) {
+    SpliceRows(num_local, frag.in_offsets_, frag.in_neighbors_, in_patch,
+               source_row, move_arc, &f.in_offsets_, &f.in_neighbors_);
+  }
+
+  SpliceRows(
+      ni, frag.mirror_offsets_, frag.mirror_frags_, mirror_patch,
+      [](LocalId v) { return v; }, [](FragmentId m) { return m; },
+      &f.mirror_offsets_, &f.mirror_frags_);
+  // Destination-local ids are re-resolved by the peer exchange, exactly
+  // as after a build.
+  f.mirror_dst_lids_.assign(f.mirror_frags_.size(), kInvalidLocal);
+  f.border_ = frag.border_;
+  f.num_border_ = frag.num_border_;
+  for (const PatchedRow<FragmentId>& p : mirror_patch) {
+    const uint8_t border = p.entries.empty() ? 0 : 1;
+    f.num_border_ = f.num_border_ - f.border_[p.row] + border;
+    f.border_[p.row] = border;
+  }
+  return f;
 }
 
 Status FragmentBuilder::MutateFragmentedGraph(FragmentedGraph* fg,

@@ -272,33 +272,35 @@ class FragmentBuilder {
   // -- Streaming mutation path (G ⊕ M over fragments) -----------------------
   //
   // Mirrors the build protocol's two halves: MutateFragment is the local
-  // half (rebuild one fragment from its mutated incident edge set, routing
-  // plan complete except mirror_dst_lids), and the mirror-answer exchange
-  // finishes the plan. MutateFragmentedGraph runs both in-process — the
-  // worker-protocol path (kTagWkMutate / kTagWkMutMirror) runs the same
-  // halves across endpoints, so the two placements produce bit-identical
-  // fragments by construction.
+  // half (patch one fragment, routing plan complete except
+  // mirror_dst_lids), and the mirror-answer exchange finishes the plan.
+  // MutateFragmentedGraph runs both in-process — the worker-protocol path
+  // (kTagWkMutate / kTagWkMutMirror) runs the same halves across
+  // endpoints, so the two placements produce bit-identical fragments by
+  // construction.
 
-  /// Reconstructs, in gid space, every edge incident to `frag`'s inner
-  /// vertices — exactly the view AssembleLocal needs to rebuild it.
-  /// Undirected inner-inner edges are emitted once (lower-gid endpoint
-  /// first, matching Graph::ToEdgeList).
-  static std::vector<Edge> MaterializeIncidentEdges(const Fragment& frag);
-
-  /// Local mutation half: applies `batch` to frag's incident edge view and
-  /// reassembles the fragment against the unchanged shared owner tables
-  /// (the vertex set is fixed; only topology moves). Inserted edges not
-  /// incident to this fragment are ignored; deletions apply to whatever is
-  /// present. The result's mirror_dst_lids are unresolved
-  /// (kInvalidLocal) until the peer exchange. A vertex that first becomes
-  /// outer through `batch` gets label 0 here — the owner knows the true
-  /// label but no engine app reads labels, so answers cannot diverge.
+  /// Local mutation half: a patched copy of `frag` under `batch` (the
+  /// vertex set and owner tables are fixed; only topology moves). `frag`
+  /// itself is never modified, so a failed call changes nothing. The cost
+  /// is one copy of the fragment plus the rows the batch touches: only the
+  /// rows of each op's endpoints are edited, in op order, and only the
+  /// touched inner vertices' border flags and mirror lists are recomputed.
+  /// Ops with no inner endpoint are no-ops; deletions apply to whatever is
+  /// present. When outer vertices appear (a new foreign endpoint) or
+  /// vanish (their last arc deleted), the outer block is re-sorted by one
+  /// merge and every outer local id remapped in one pass. The result equals
+  /// AssembleLocal over the mutated graph byte for byte — up to the order
+  /// of duplicate arcs, which the whole-graph rebuild does not fix either.
+  /// Its mirror_dst_lids are unresolved (kInvalidLocal) until the peer
+  /// exchange. A vertex that first becomes outer through `batch` gets
+  /// label 0 here — the owner knows the true label but no engine app reads
+  /// labels, so answers cannot diverge.
   static Result<Fragment> MutateFragment(const Fragment& frag,
                                          const MutationBatch& batch);
 
-  /// Whole-world mutation: every fragment rebuilt via MutateFragment, then
+  /// Whole-world mutation: every fragment patched via MutateFragment, then
   /// the in-process mirror exchange. All-or-nothing — `fg` is untouched
-  /// unless every fragment rebuilds and resolves.
+  /// unless every fragment patches and resolves.
   static Status MutateFragmentedGraph(FragmentedGraph* fg,
                                       const MutationBatch& batch);
 };

@@ -696,9 +696,9 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
     mut_.reset();
     return EmitError(frag.status());
   }
-  mut_->rebuilt = true;
+  mut_->patched = true;
 
-  // Our rebuilt outer placements, one frame per peer (possibly empty —
+  // Our new outer placements, one frame per peer (possibly empty —
   // the static n-1 expectation doubles as the exchange's barrier). The
   // peer answers each with the warm values for the gids we declared.
   const uint32_t n = server_->num_fragments();
@@ -713,7 +713,7 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
     GRAPE_RETURN_NOT_OK(emit_(f + 1, kTagWkMutMirror, enc.TakeBuffer()));
   }
 
-  // Frames that raced ahead of our rebuild.
+  // Frames that raced ahead of our patch.
   auto early_mirrors = std::move(mut_->early_mirrors);
   mut_->early_mirrors.clear();
   for (auto& [peer, buffered] : early_mirrors) {
@@ -779,7 +779,7 @@ Status RemoteWorkerHost::HandleMutMirror(uint32_t from,
     return Status::OK();
   }
   if (!mut_) mut_.emplace();
-  if (!mut_->rebuilt) {
+  if (!mut_->patched) {
     mut_->early_mirrors.emplace_back(from, std::move(payload));
     return Status::OK();
   }
@@ -795,9 +795,9 @@ Status RemoteWorkerHost::HandleMutVals(uint32_t from,
     return Status::OK();
   }
   if (!mut_) mut_.emplace();
-  if (!mut_->rebuilt) {
+  if (!mut_->patched) {
     // Defensive: an owner's reply follows our own mirror frame, which we
-    // only send after rebuilding — but a flaky substrate's duplicate
+    // only send after patching — but a flaky substrate's duplicate
     // could arrive any time, and buffering is always safe.
     mut_->early_vals.emplace_back(from, std::move(payload));
     return Status::OK();
@@ -808,7 +808,7 @@ Status RemoteWorkerHost::HandleMutVals(uint32_t from,
 }
 
 Status RemoteWorkerHost::MaybeFinishMutate() {
-  if (!mut_ || !mut_->rebuilt) return Status::OK();
+  if (!mut_ || !mut_->patched) return Status::OK();
   const uint32_t n = server_->num_fragments();
   if (mut_->mirrors_seen < n - 1 || mut_->vals_seen < n - 1) {
     return Status::OK();

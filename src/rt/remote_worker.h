@@ -118,22 +118,24 @@ class WorkerAppServerBase {
                                        bool check_monotonicity) = 0;
 
   // Streaming mutations (kTagWkMutate .. kTagWkIncStart): the warm path
-  // that rebuilds the resident fragment in place and keeps the converged
-  // parameter store alive across the rebuild. Inner lids are stable under
-  // edge mutation (the inner set is fixed by vertex ownership), so inner
-  // values migrate by lid; the rebuilt outer set starts cold and is
+  // that patches the resident fragment and keeps the converged parameter
+  // store alive across the patch. Inner lids are stable under edge
+  // mutation (the inner set is fixed by vertex ownership), so inner
+  // values migrate by lid; the patched outer set starts cold and is
   // overwritten with the owners' converged values through the
   // kTagWkMutMirror / kTagWkMutVals exchange the host drives.
 
-  /// Decodes a MutationBatch and rebuilds this worker's fragment from its
-  /// mutated incident edge view (FragmentBuilder::MutateFragment). The
-  /// core is re-seated on the rebuilt fragment with inner values carried
-  /// over; mirror destinations stay unresolved until the host applies the
-  /// peers' kTagWkMutMirror answers. Returns the rebuilt fragment so the
+  /// Decodes a MutationBatch and patches a copy of this worker's fragment
+  /// (FragmentBuilder::MutateFragment): one fragment copy plus the rows
+  /// the batch touches. The resident fragment stays shared and unchanged
+  /// until FinishMutation, so a rejected frame changes nothing. The core
+  /// is re-seated on the patched copy with inner values carried over;
+  /// mirror destinations stay unresolved until the host applies the
+  /// peers' kTagWkMutMirror answers. Returns the patched fragment so the
   /// host can compute its own mirror answers.
   virtual Result<const Fragment*> MutateFragment(Decoder& dec,
                                                  bool check_monotonicity) = 0;
-  /// Applies one peer's rebuilt mirror placements (patching this
+  /// Applies one peer's new mirror placements (completing this
   /// fragment's routing plan), exactly like the build path's mirror step.
   virtual Status ApplyMutMirror(FragmentId from,
                                 const std::vector<MirrorLidEntry>& answers) = 0;
@@ -147,7 +149,7 @@ class WorkerAppServerBase {
   /// store slots (no aggregation — at a converged fixpoint an outer copy
   /// can be stale-high, and the owner's value is authoritative).
   virtual Status AbsorbWarmValues(Decoder& dec) = 0;
-  /// Verifies the rebuilt routing plan is fully resolved, freezes the
+  /// Verifies the patched routing plan is fully resolved, freezes the
   /// fragment (re-depositing it in ResidentFragmentStore when this load
   /// carried a token), re-baselines monotonicity tracking on the warm
   /// values, and reports the new shape for the mutate ack.
@@ -308,15 +310,18 @@ class WorkerServer final : public WorkerAppServerBase {
     }
     MutationBatch batch;
     GRAPE_RETURN_NOT_OK(MutationBatch::DecodeFrom(dec, &batch));
+    if (!dec.AtEnd()) {
+      return Status::Corruption("mutation frame: trailing bytes after batch");
+    }
     const Fragment& old = resident_ ? *resident_ : frag_;
-    auto rebuilt = FragmentBuilder::MutateFragment(old, batch);
-    if (!rebuilt.ok()) return rebuilt.status();
-    auto owned = std::make_shared<Fragment>(std::move(rebuilt).value());
+    auto patched = FragmentBuilder::MutateFragment(old, batch);
+    if (!patched.ok()) return patched.status();
+    auto owned = std::make_shared<Fragment>(std::move(patched).value());
     if (owned->num_inner() != old.num_inner()) {
       return Status::Internal(
           "edge mutation changed the inner vertex set (ownership is fixed)");
     }
-    // The warm state: converged inner values survive the rebuild by lid
+    // The warm state: converged inner values survive the patch by lid
     // (the inner order — ascending gid among owned vertices — is a
     // function of ownership alone, which mutations never change).
     const std::vector<Value>& vals = core_->store().values();
@@ -336,7 +341,7 @@ class WorkerServer final : public WorkerAppServerBase {
                         const std::vector<MirrorLidEntry>& answers) override {
     if (mut_frag_ == nullptr) {
       return Status::FailedPrecondition(
-          "mutation mirror answers without a rebuilt fragment");
+          "mutation mirror answers without a patched fragment");
     }
     return FragmentBuilder::ApplyMirrorAnswers(mut_frag_.get(), from, answers);
   }
@@ -345,7 +350,7 @@ class WorkerServer final : public WorkerAppServerBase {
                           Encoder& enc) override {
     if (!core_.has_value() || mut_frag_ == nullptr) {
       return Status::FailedPrecondition(
-          "warm-value request without a rebuilt fragment");
+          "warm-value request without a patched fragment");
     }
     const Fragment& frag = *mut_frag_;
     const ParamStore<Value>& store = core_->store();
@@ -380,7 +385,7 @@ class WorkerServer final : public WorkerAppServerBase {
       if (lids[k] >= static_cast<uint32_t>(store.size())) {
         return Status::Corruption(
             "warm value addresses lid " + std::to_string(lids[k]) +
-            " outside the rebuilt fragment");
+            " outside the patched fragment");
       }
       store.UntrackedRef(lids[k]) = std::move(values[k]);
     }
@@ -390,7 +395,7 @@ class WorkerServer final : public WorkerAppServerBase {
   Status FinishMutation(WkBuildAck* shape) override {
     if (mut_frag_ == nullptr || !core_.has_value()) {
       return Status::FailedPrecondition(
-          "mutation finish without a rebuilt fragment");
+          "mutation finish without a patched fragment");
     }
     GRAPE_RETURN_NOT_OK(FragmentBuilder::CheckMirrorsResolved(*mut_frag_));
     // Inner values are the previous fixpoint, outer values the owners'
@@ -456,7 +461,7 @@ class WorkerServer final : public WorkerAppServerBase {
   /// Set instead of frag_ for resident loads; shared with the store so the
   /// core's fragment outlives later builds.
   std::shared_ptr<const Fragment> resident_;
-  /// In-flight mutation rebuild: mutable until FinishMutation freezes it
+  /// In-flight mutation patch: mutable until FinishMutation freezes it
   /// into resident_. The core already points at it (routing-plan patches
   /// from ApplyMutMirror are visible in place).
   std::shared_ptr<Fragment> mut_frag_;
@@ -568,17 +573,17 @@ class RemoteWorkerHost {
   /// Deposits the fragment and acks once every peer answered.
   Status MaybeFinishBuild();
 
-  // Streaming mutation steps (kTagWkMutate .. kTagWkIncStart): rebuild in
-  // place, then the peer-to-peer mirror-placement + warm-value exchange.
+  // Streaming mutation steps (kTagWkMutate .. kTagWkIncStart): patch the
+  // fragment, then the peer-to-peer mirror-placement + warm-value exchange.
   Status HandleMutate(const std::vector<uint8_t>& payload);
   Status HandleMutMirror(uint32_t from, std::vector<uint8_t> payload);
   Status HandleMutVals(uint32_t from, std::vector<uint8_t> payload);
-  /// Applies one peer's rebuilt mirror placements and answers it with the
+  /// Applies one peer's new mirror placements and answers it with the
   /// warm values for the outer copies it declared.
   Status ApplyMutMirrorFrame(uint32_t from,
                              const std::vector<uint8_t>& payload);
   Status ApplyMutValsFrame(const std::vector<uint8_t>& payload);
-  /// Freezes the rebuilt fragment and acks the new shape once every
+  /// Freezes the patched fragment and acks the new shape once every
   /// peer's placements were applied AND every owner's values absorbed.
   Status MaybeFinishMutate();
   /// kTagWkIncStart: seed M_i with the touched gids and run the warm
@@ -639,11 +644,11 @@ class RemoteWorkerHost {
   /// One in-flight streaming mutation. Peers' kTagWkMutMirror /
   /// kTagWkMutVals frames travel on different channels than the
   /// coordinator's kTagWkMutate (FIFO is per channel), so they can arrive
-  /// before our own rebuild — buffered here like BuildSession's
+  /// before our own patch — buffered here like BuildSession's
   /// early_mirrors. The engine serializes mutations (one batch in flight
   /// per world), so no token is needed to match frames to the session.
   struct MutSession {
-    bool rebuilt = false;
+    bool patched = false;
     uint32_t mirrors_seen = 0;
     uint32_t vals_seen = 0;
     std::vector<std::pair<uint32_t, std::vector<uint8_t>>> early_mirrors;

@@ -112,15 +112,15 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkQuery = 0x119,  // 0 -> r: payload = encoded query only
 
   // Streaming mutations (the incremental serving path): the engine ships
-  // an edge-mutation batch into a live session; each worker rebuilds its
-  // fragment in place from its mutated incident edge view, re-runs the
+  // an edge-mutation batch into a live session; each worker patches a
+  // copy of its fragment (only the rows the batch touches), re-runs the
   // mirror-placement exchange peer-to-peer (same halves as the build
   // protocol), and pulls warm parameter values for its new outer set from
   // the owners — so a following kTagWkIncStart runs IncEval against
   // exactly the state a local warm start would hold. All control frames,
   // invisible to CommStats.
   kTagWkMutate = 0x11a,     // 0 -> r: encoded MutationBatch
-  kTagWkMutMirror = 0x11b,  // r -> s: rebuilt mirror placements (one each)
+  kTagWkMutMirror = 0x11b,  // r -> s: patched mirror placements (one each)
   kTagWkMutVals = 0x11c,    // s -> r: warm values for r's outer copies
   kTagWkMutateAck = 0x11d,  // r -> 0: WkBuildAck (new shape under token)
   // 0 -> r: warm-start IncEval round 1 seeded with the batch's touched

@@ -49,7 +49,7 @@ inline constexpr uint32_t kTagSvPageRank = 0x305;
 inline constexpr uint32_t kTagSvReload = 0x306;
 /// Streams an edge-mutation batch into the resident graph (graph/mutation.h
 /// wire format: varint count, then per-op u8 kind + u32 src + u32 dst +
-/// double weight + u32 label). The fragments are rebuilt in place inside
+/// double weight + u32 label). The fragments are patched in place inside
 /// the worker endpoints and standing answers are refreshed by bounded
 /// incremental evaluation where the monotonicity contract allows (inserts
 /// under a min-style order), by full recompute otherwise — never left

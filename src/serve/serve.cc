@@ -582,7 +582,7 @@ struct ServeServer::Impl {
     }
     GRAPE_RETURN_NOT_OK(shapes.status());
 
-    // Every fragment was rebuilt: new shapes for the metadata and for
+    // Every fragment was patched: new shapes for the metadata and for
     // every engine's routing slots. The applier refreshed its own inside
     // ApplyMutations; the call is idempotent, so refresh all four.
     for (FragmentId i = 0; i < meta_.num_fragments; ++i) {

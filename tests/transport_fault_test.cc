@@ -678,6 +678,12 @@ void RunSigkillRecoveryScenario(const std::string& backend,
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_GE(engine.metrics().recoveries, 1u)
       << "engine produced a result without recovering a killed worker";
+  // The total covers every attempt and the recovery, so it can never be
+  // smaller than the cumulative phase times the restore carried over.
+  const EngineMetrics& m = engine.metrics();
+  EXPECT_GE(m.total_seconds, m.peval_seconds);
+  EXPECT_GE(m.total_seconds, m.inceval_seconds);
+  EXPECT_GE(m.total_seconds, m.checkpoint_seconds);
   EXPECT_EQ(hash_out(*out), golden.hash) << "recovered output diverged";
   EXPECT_EQ(engine.metrics().messages, golden.messages);
   EXPECT_EQ(engine.metrics().bytes, golden.bytes);
