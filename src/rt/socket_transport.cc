@@ -515,13 +515,17 @@ Status SocketTransport::Recover() {
   // keep reading the old channels (and their death EOFs the uplinks,
   // unblocking the receiver threads below).
   for (pid_t pid : children_) kill(pid, SIGKILL);
-  // Stop the forwarder without draining: its writes target dead channels.
-  {
-    std::lock_guard<std::mutex> lock(fwd_mu_);
+  // Caller holds fwd_mu_.
+  auto drop_forward_queue = [this] {
     for (ForwardJob& job : fwd_queue_) {
       buffer_pool().Release(std::move(job.payload));
     }
     fwd_queue_.clear();
+  };
+  // Stop the forwarder without draining: its writes target dead channels.
+  {
+    std::lock_guard<std::mutex> lock(fwd_mu_);
+    drop_forward_queue();
     fwd_stop_ = true;
   }
   fwd_cv_.notify_all();
@@ -548,9 +552,14 @@ Status SocketTransport::Recover() {
   }
   CloseAndUnregisterFds(closed_fds);
   ReapChildren();
-  // Back to just-constructed state, then bring up the fresh world.
+  // Back to just-constructed state, then bring up the fresh world. Until
+  // they were joined, the receivers kept reading what the killed
+  // endpoints had already written and queueing its peer frames: dropped
+  // here, or the fresh forwarder would hand the old world's direct
+  // frames to the new endpoints (before or after their restore).
   {
     std::lock_guard<std::mutex> lock(fwd_mu_);
+    drop_forward_queue();
     fwd_stop_ = false;
   }
   frames_sent_.store(0, std::memory_order_release);
